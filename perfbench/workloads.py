@@ -154,8 +154,9 @@ def _check_select(ctx: Context, manifest: Path, front: Path, sel: Path, metric: 
 
 FIXTURE_POOLS = 6  # toy seeds per run, one per set-up repetition
 # Floor on the coverage of the selected union (criterion 4 asks it to stay
-# high). Over toy seeds 0-39 the lowest value seen is well above it; see README.
-FIXTURE_MIN_COVERAGE = 0.9
+# high): over 200 toy seeds the lowest seen was 0.927, while a union that
+# misses one of the four modes covers about 0.75.
+FIXTURE_MIN_COVERAGE = 0.85
 
 
 def _fixture_fabricate(ctx: Context, rep: int) -> list[Op]:
@@ -216,7 +217,7 @@ def _fixture_round(ctx: Context, r: int) -> list[Op]:
         oracle = ctx.oracle(manifest, "dnc")
         _, cvg = C.density_coverage(oracle.pool["real"], C.read_emb(sel / "union.emb"), K,
                                     oracle.radii(""))
-        C.check_mode_recovery(best, cvg, C.read_scatter(opt / "scatter.csv"), FIXTURE_MIN_COVERAGE)
+        C.check_mode_recovery(best, cvg, FIXTURE_MIN_COVERAGE)
 
     def check_quality() -> None:
         oracle = ctx.oracle(manifest, "dnc")
