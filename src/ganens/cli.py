@@ -179,27 +179,29 @@ def _selection_payload(selection: SelectionManifest, provenance: dict) -> dict:
 def _select_from_front_file(front_path: Path, total: int) -> SelectionManifest:
     # Selection straight from an exported front: maximize effective delta,
     # break ties by fewer members then by sorted id list.
-    doc = json.loads(front_path.read_text(encoding="utf-8"))
-    entries = doc.get("front", [])
-    if not entries:
-        raise DataError(f"front file '{front_path}' holds no entries")
-    orientation = doc.get("orientation", "higher")
-    sign = 1.0 if orientation == "higher" else -1.0
-    best = min(
-        entries,
-        key=lambda e: (-sign * float(e["intra"]), int(e["member_count"]), sorted(e["ids"])),
-    )
-    ids = sorted(best["ids"])
+    try:
+        doc = json.loads(front_path.read_text(encoding="utf-8"))
+        entries = doc.get("front", [])
+        if not entries:
+            raise DataError(f"front file '{front_path}' holds no entries")
+        orientation = doc.get("orientation", "higher")
+        sign = 1.0 if orientation == "higher" else -1.0
+        best = min(
+            entries,
+            key=lambda e: (-sign * float(e["intra"]), int(e["member_count"]), sorted(e["ids"])),
+        )
+        ids = sorted(best["ids"])
+        intra, inter = float(best["intra"]), float(best["inter"])
+        member_count = int(best["member_count"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"front file '{front_path}' is malformed: {exc!r}") from None
     n = len(ids)
     if total < n:
         raise ParameterError(f"total {total} is smaller than ensemble size {n}")
     base, extra = divmod(total, n)
     quotas = {gid: base + (1 if pos < extra else 0) for pos, gid in enumerate(ids)}
     cfg = MetricConfig() if orientation == "higher" else MetricConfig(kind="fid")
-    objectives = ObjectiveVector(
-        intra=float(best["intra"]), inter=float(best["inter"]),
-        member_count=int(best["member_count"]), metric=cfg,
-    )
+    objectives = ObjectiveVector(intra=intra, inter=inter, member_count=member_count, metric=cfg)
     return SelectionManifest(
         chosen=tuple(ids), quotas=quotas, objectives=objectives,
         front_size=len(entries), total=total,
@@ -279,8 +281,8 @@ def cmd_quality(manifest, selection, k, seed, include_all, out) -> None:
     pool = load_pool(manifest)
     selected = None
     if selection is not None:
-        doc = json.loads(Path(selection).read_text(encoding="utf-8"))
         try:
+            doc = json.loads(Path(selection).read_text(encoding="utf-8"))
             selected = SelectionManifest(
                 chosen=tuple(doc["chosen"]),
                 quotas={k_: int(v) for k_, v in doc["quotas"].items()},

@@ -9,9 +9,50 @@ metric for ablations.
 
 All ball-membership tests use closed balls (distance <= radius), so a set
 compared against itself always attains coverage 1 even when it contains
-duplicate points. Distances are exact Euclidean, computed in float64 by
-direct differencing so the optimized path agrees bit-for-bit with a naive
-all-pairs oracle.
+duplicate points. Every ball decision and every k-NN radius equals the one
+``pairwise_distances`` gives: direct differencing in float64, summed over
+dimensions in order ``0 + (x0-y0)^2 + (x1-y1)^2 + ...``, then ``sqrt``.
+
+The decisions are taken on a faster estimate with a proven error bound.
+With c the mean of the reference rows, a = fl(x - c) and b = fl(y - c),
+one matrix product (BLAS GEMM) of the rows ``[a, |a|^2, 1]`` and
+``[-2b, 1, |b|^2]`` gives ``s^ = |a|^2 + |b|^2 - 2 a.b`` for a block of
+rows at once. Let u = 2^-53 be the unit roundoff, D the dimension and
+gamma_n = n u / (1 - n u). A dot product of length n summed in any order,
+fused or not, errs by at most gamma_n times the sum of its terms' absolute
+values (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1).
+With |a_i b_i| summing to at most (|a|^2 + |b|^2) / 2, to first order:
+
+- the product, of length D + 2, errs by 2 (D + 2) u (|a|^2 + |b|^2), and
+  the two computed norms inside it by D u (|a|^2 + |b|^2);
+- centring moves each a_i - b_i off x_i - y_i by at most u (|a_i| + |b_i|),
+  which moves the squared distance by at most 4 u (|a|^2 + |b|^2);
+- the reference sum of D rounded squares of rounded differences lies
+  within gamma_(D+2) of the true squared distance, itself at most
+  2 (|a|^2 + |b|^2): another 2 (D + 2) u (|a|^2 + |b|^2).
+
+So ``|s^ - s| <= (5 D + 12) u (|a|^2 + |b|^2)`` against the reference's
+squared distance s, plus at most 2^-1075 for each of the 4 D products
+that may fall below the normal range. The kernel uses more than twice
+both terms, ``ERR = (10 D + 32) (u (|a|^2 + |b|^2) + 2^-1074)``; the margin
+covers the first-order approximation and the rounding of ERR itself. It
+splits ERR into a part per reference row and a part per candidate row,
+and bounds row i by its own part plus the largest candidate part, so no
+N x M array of bounds is built.
+
+- A ball test ``d <= r`` is sure when ``|s^ - r^2| > ERR + 8 u r^2``: the
+  ``8 u r^2`` term covers the rounding of ``r^2`` and of ``sqrt``, so a
+  squared distance that far from ``r^2`` cannot round to the other side of
+  r. Entries inside this guard band are recomputed exactly.
+- A k-NN radius is the k-th smallest exact squared distance in its row,
+  then ``sqrt`` (which keeps order). With H the k-th smallest estimate in
+  the row, that value is at most H + ERR, so only entries whose estimate
+  is at most H + 2 ERR can be among the k smallest; those are recomputed
+  exactly and the k-th of them is taken.
+
+The bound assumes that no squared norm overflows, which float32 data (as
+``EmbeddingSet`` stores it) cannot reach. A NaN estimate or bound always
+falls in the band and is recomputed.
 """
 from __future__ import annotations
 
@@ -26,6 +67,15 @@ from .util import readonly
 
 EIGENVALUE_CLAMP = 1e-10
 DEFAULT_K = 5
+
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
+# ERR = (_ERR_PER_DIM * D + _ERR_BASE) * (u * (|a|^2 + |b|^2) + 2^-1074)
+_ERR_PER_DIM = 10.0
+_ERR_BASE = 32.0
+# Entries per block of the estimated distance matrix: a block and its few
+# temporaries stay within some megabytes whatever N is.
+_BLOCK_ENTRIES = 1 << 18
 
 
 class MetricKind(str, Enum):
@@ -121,6 +171,80 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _exact_squared(x: np.ndarray, y: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Squared distances between x[rows] and y[cols], summed as pairwise_distances sums them.
+
+    ``cumsum`` adds left to right, ``0 + t0`` equals ``t0``, so the last
+    column of the running sum is the reference's loop over dimensions.
+    """
+    out = np.empty(rows.shape[0], dtype=np.float64)
+    step = max(1, _BLOCK_ENTRIES // x.shape[1])
+    for start in range(0, rows.shape[0], step):
+        diff = x[rows[start : start + step]] - y[cols[start : start + step]]
+        diff *= diff
+        out[start : start + step] = np.cumsum(diff, axis=1)[:, -1]
+    return out
+
+
+def _estimate_blocks(x: np.ndarray, y: np.ndarray):
+    """Row blocks of estimated squared distances between x and y, with error bounds.
+
+    Yields ``(start, estimate, slack_x, slack_y)``: ``estimate`` covers the
+    rows x[start:start + len(slack_x)], and ``|estimate - s|`` is at most
+    ``slack_x[i] + slack_y[j]`` entry by entry, against the squared distance
+    s that ``pairwise_distances`` rounds to (module docstring).
+    """
+    n, dim = x.shape
+    centre = x.mean(axis=0)
+    # [a, |a|^2, 1] . [-2b, 1, |b|^2] = |a|^2 + |b|^2 - 2 a.b in one product.
+    left = np.empty((n, dim + 2), dtype=np.float64)
+    np.subtract(x, centre, out=left[:, :dim])
+    left[:, dim] = np.einsum("ij,ij->i", left[:, :dim], left[:, :dim])
+    left[:, dim + 1] = 1.0
+    right = np.empty((y.shape[0], dim + 2), dtype=np.float64)
+    np.subtract(y, centre, out=right[:, :dim])
+    right[:, dim + 1] = np.einsum("ij,ij->i", right[:, :dim], right[:, :dim])
+    right[:, :dim] *= -2.0
+    right[:, dim] = 1.0
+    coef = _ERR_PER_DIM * dim + _ERR_BASE
+    slack_x = left[:, dim] * (coef * _UNIT_ROUNDOFF) + coef * _SMALLEST_SUBNORMAL
+    slack_y = right[:, dim + 1] * (coef * _UNIT_ROUNDOFF)
+    step = max(1, _BLOCK_ENTRIES // y.shape[0])
+    for start in range(0, n, step):
+        yield start, left[start : start + step] @ right.T, slack_x[start : start + step], slack_y
+
+
+def _unsure(sure: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries where ``sure`` is false (overwrites it)."""
+    np.logical_not(sure, out=sure)
+    return np.divmod(np.flatnonzero(sure), sure.shape[1])
+
+
+def _closed_ball(
+    x: np.ndarray,
+    y: np.ndarray,
+    start: int,
+    estimate: np.ndarray,
+    radius: np.ndarray,
+    slack: np.ndarray,
+) -> np.ndarray:
+    """Exact ``d(x_i, y_j) <= radius`` over one block of rows from ``start``.
+
+    ``radius`` is a column (one per x row) or a row (one per y row), and
+    ``slack`` bounds the estimate's error along that axis for every entry.
+    """
+    squared = radius * radius
+    band = slack + (8.0 * _UNIT_ROUNDOFF) * squared
+    inside = estimate <= squared
+    # Sure entries lie outside the guard band; NaN compares false and is recomputed.
+    sure = estimate < squared - band
+    sure |= estimate > squared + band
+    rows, cols = _unsure(sure)
+    exact = np.sqrt(_exact_squared(x, y, rows + start, cols))
+    inside[rows, cols] = exact <= np.broadcast_to(radius, estimate.shape)[rows, cols]
+    return inside
+
+
 def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
     """Distance from each point to its k-th nearest other point in the same set.
 
@@ -131,10 +255,59 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
     n = ref.shape[0]
     if k < 1 or k >= n:
         raise ParameterError(f"k must satisfy 1 <= k < N, got k={k} with N={n}")
-    dists = pairwise_distances(ref, ref)
-    np.fill_diagonal(dists, np.inf)
-    radii = np.partition(dists, k - 1, axis=1)[:, k - 1]
-    return RadiusProfile(reference_id=_source_id(reference), k=k, radii=radii)
+    kth = np.empty(n, dtype=np.float64)
+    for start, estimate, slack_rows, slack_cols in _estimate_blocks(ref, ref):
+        own = np.arange(estimate.shape[0])
+        estimate[own, own + start] = np.inf
+        # Within row i every entry errs by at most slack_i, so the k-th smallest
+        # exact value is at most kth_estimate + slack_i, and only entries whose
+        # estimate is within 2 * slack_i of kth_estimate can reach it.
+        slack = slack_rows + slack_cols.max()
+        cutoff = np.partition(estimate, k - 1, axis=1)[:, k - 1] + 2.0 * slack
+        rows, cols = _unsure(estimate > cutoff[:, None])
+        exact = _exact_squared(ref, ref, rows + start, cols)
+        # A point is not its own neighbour, as in the all-pairs reference.
+        exact[rows + start == cols] = np.inf
+        exact = exact[np.lexsort((exact, rows))]
+        kth[start : start + own.shape[0]] = exact[np.searchsorted(rows, own) + k - 1]
+    return RadiusProfile(reference_id=_source_id(reference), k=k, radii=np.sqrt(kth))
+
+
+def _check_pair(ref: np.ndarray, cand: np.ndarray) -> None:
+    if ref.shape[1] != cand.shape[1]:
+        raise ParameterError(
+            f"dimension mismatch: reference D={ref.shape[1]}, candidate D={cand.shape[1]}"
+        )
+
+
+def _profile(ref: np.ndarray, k: int, radii: RadiusProfile | None) -> np.ndarray:
+    if radii is None:
+        return knn_radii(ref, k).radii
+    if radii.k != k or radii.radii.shape[0] != ref.shape[0]:
+        raise ParameterError("radius profile does not match this reference set and k")
+    return radii.radii
+
+
+def _mutual_counts(
+    x: np.ndarray, y: np.ndarray, k: int, radii_x: np.ndarray, radii_y: np.ndarray | None
+) -> tuple[tuple[float, float], tuple[float, float] | None]:
+    """Density and coverage of y against x's balls and, given radii_y, of x against y's."""
+    hits_x = covered_x = hits_y = 0
+    covered_y = np.zeros(y.shape[0], dtype=bool)
+    for start, estimate, slack_x, slack_y in _estimate_blocks(x, y):
+        stop = start + estimate.shape[0]
+        slack = slack_x + slack_y.max()
+        inside = _closed_ball(x, y, start, estimate, radii_x[start:stop, None], slack[:, None])
+        hits_x += int(np.count_nonzero(inside))
+        covered_x += int(np.count_nonzero(inside.any(axis=1)))
+        if radii_y is not None:
+            inside = _closed_ball(x, y, start, estimate, radii_y, slack_y + slack_x.max())
+            hits_y += int(np.count_nonzero(inside))
+            covered_y |= inside.any(axis=0)
+    forward = (hits_x / (k * y.shape[0]), covered_x / x.shape[0])
+    if radii_y is None:
+        return forward, None
+    return forward, (hits_y / (k * x.shape[0]), int(np.count_nonzero(covered_y)) / y.shape[0])
 
 
 def density_coverage(
@@ -153,24 +326,22 @@ def density_coverage(
     """
     ref = _as_matrix(reference)
     cand = _as_matrix(candidate)
-    if ref.shape[1] != cand.shape[1]:
-        raise ParameterError(
-            f"dimension mismatch: reference D={ref.shape[1]}, candidate D={cand.shape[1]}"
-        )
-    if radii is None:
-        radii = knn_radii(reference, k)
-    elif radii.k != k or radii.radii.shape[0] != ref.shape[0]:
-        raise ParameterError("radius profile does not match this reference set and k")
-    cross = pairwise_distances(ref, cand)
-    return counts_from_cross(cross, radii.radii, k)
+    _check_pair(ref, cand)
+    return _mutual_counts(ref, cand, k, _profile(ref, k, radii), None)[0]
 
 
-def counts_from_cross(cross: np.ndarray, radii_values: np.ndarray, k: int) -> tuple[float, float]:
-    """Density and coverage from a precomputed reference-by-candidate distance matrix."""
-    inside = cross <= radii_values[:, None]
-    dns = float(inside.sum()) / (k * cross.shape[1])
-    cvg = float(inside.any(axis=1).mean())
-    return dns, cvg
+def mutual_density_coverage(
+    a: EmbeddingSet | np.ndarray,
+    b: EmbeddingSet | np.ndarray,
+    k: int,
+    radii_a: RadiusProfile | None = None,
+    radii_b: RadiusProfile | None = None,
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """``(density_coverage(a, b, k), density_coverage(b, a, k))`` from one distance pass."""
+    x = _as_matrix(a)
+    y = _as_matrix(b)
+    _check_pair(x, y)
+    return _mutual_counts(x, y, k, _profile(x, k, radii_a), _profile(y, k, radii_b))
 
 
 def density(

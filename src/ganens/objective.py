@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,16 +21,15 @@ from .metrics import (
     MetricConfig,
     MetricKind,
     RadiusProfile,
-    counts_from_cross,
     frechet_distance,
     gaussian_summary,
     harmonic_d,
     knn_radii,
     metric_d,
-    pairwise_distances,
+    mutual_density_coverage,
 )
 from .store import EmbeddingSet, Pool
-from .util import readonly, seeded_stream, worker_count
+from .util import readonly, seeded_stream
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,6 @@ def pairwise_matrix(
     cfg: MetricConfig,
     sample_per_generator: int | None = None,
     seed: int = 0,
-    max_workers: int | None = None,
 ) -> PairwiseMatrix:
     """Symmetric matrix of pairwise metric values between generator sets.
 
@@ -236,25 +233,22 @@ def pairwise_matrix(
         for record, es in pool.members
     ]
     values = np.zeros((n, n), dtype=np.float64)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     # Per-set state (k-NN radii, Gaussian moments) is computed once; each
-    # cross-distance matrix serves both argument orders via its transpose.
+    # cross-distance pass serves both argument orders.
     if cfg.kind is MetricKind.DENSITY_COVERAGE and not cfg.standardize:
         profiles = [knn_radii(s, cfg.k) for s in subs]
 
-        def entry(pair: tuple[int, int]) -> float:
-            i, j = pair
-            cross = pairwise_distances(subs[i].data, subs[j].data)
-            forward = harmonic_d(*counts_from_cross(cross, profiles[i].radii, cfg.k))
-            backward = harmonic_d(*counts_from_cross(cross.T, profiles[j].radii, cfg.k))
-            return (forward + backward) / 2.0
+        def entry(i: int, j: int) -> float:
+            forward, backward = mutual_density_coverage(
+                subs[i], subs[j], cfg.k, profiles[i], profiles[j]
+            )
+            return (harmonic_d(*forward) + harmonic_d(*backward)) / 2.0
 
     elif cfg.kind is MetricKind.FRECHET and not cfg.standardize:
         summaries = [gaussian_summary(s) for s in subs]
 
-        def entry(pair: tuple[int, int]) -> float:
-            i, j = pair
+        def entry(i: int, j: int) -> float:
             return (
                 frechet_distance(summaries[i], summaries[j])
                 + frechet_distance(summaries[j], summaries[i])
@@ -262,19 +256,12 @@ def pairwise_matrix(
 
     else:
 
-        def entry(pair: tuple[int, int]) -> float:
-            i, j = pair
+        def entry(i: int, j: int) -> float:
             return (metric_d(subs[i], subs[j], cfg) + metric_d(subs[j], subs[i], cfg)) / 2.0
 
-    workers = worker_count(max_workers)
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(entry, pairs))
-    else:
-        results = [entry(p) for p in pairs]
-    for (i, j), value in zip(pairs, results):
-        values[i, j] = value
-        values[j, i] = value
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = entry(i, j)
     return PairwiseMatrix(
         values=values,
         ids=pool.ids,
@@ -317,7 +304,6 @@ class EnsembleEvaluator:
         total: int | None = None,
         sample_per_generator: int | None = None,
         memoize: bool = True,
-        max_workers: int | None = None,
     ) -> None:
         self.pool = pool
         self.cfg = cfg if cfg is not None else MetricConfig()
@@ -325,7 +311,6 @@ class EnsembleEvaluator:
         self.total = pool.real.rows if total is None else int(total)
         self.sample_per_generator = sample_per_generator
         self.memoize = memoize
-        self.max_workers = max_workers
         self._cache: dict[tuple[int, ...], ObjectiveVector] = {}
         self._matrix: PairwiseMatrix | None = None
         self._radii: RadiusProfile | None = None
@@ -340,7 +325,6 @@ class EnsembleEvaluator:
                 self.cfg,
                 sample_per_generator=self.sample_per_generator,
                 seed=self.seed,
-                max_workers=self.max_workers,
             )
         return self._matrix
 

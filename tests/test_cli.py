@@ -291,5 +291,26 @@ class TestExitCodes:
         assert code == 2
         assert "GANENS_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, text, detail",
+        [
+            ("--front", "{not json", "Expecting"),
+            ("--front", json.dumps({"front": [{"ids": ["x"], "intra": 0.5, "inter": 0.0}]}),
+             "member_count"),
+            ("--selection", "{not json", "Expecting"),
+        ],
+        ids=["front-not-json", "front-entry-without-member-count", "selection-not-json"],
+    )
+    def test_malformed_json_is_data_error(self, small_manifest, tmp_path, capsys, flag, text,
+                                          detail):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        command = "select" if flag == "--front" else "quality"
+        code = main([command, "--manifest", str(small_manifest), flag, str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed" in err and detail in err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_pool
 from ganens import (
     EmbeddingSet,
     GaussianSummary,
@@ -18,7 +21,9 @@ from ganens import (
     knn_radii,
     metric_d,
     pairwise_distances,
+    pairwise_matrix,
 )
+from ganens.metrics import _exact_squared
 
 
 def brute_force_density_coverage(ref, cand, k):
@@ -125,6 +130,88 @@ class TestDensityCoverage:
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError, match="dimension mismatch"):
             density_coverage(np.zeros((4, 2)), np.zeros((4, 3)), 1)
+
+
+def reference_radii(x, k):
+    """k-NN radii from the reference kernel: all pairs, then the k-th order statistic."""
+    d = pairwise_distances(x, x)
+    np.fill_diagonal(d, np.inf)
+    return np.partition(d, k - 1, axis=1)[:, k - 1]
+
+
+def reference_density_coverage(ref, cand, k):
+    inside = pairwise_distances(ref, cand) <= reference_radii(ref, k)[:, None]
+    return float(inside.sum()) / (k * cand.shape[0]), float(inside.any(axis=1).mean())
+
+
+@st.composite
+def ball_sets(draw, max_rows=14):
+    """Two point sets meant to put ball decisions on and near their thresholds.
+
+    Integer-grid rows sit exactly on one another's radii; duplicated rows
+    give zero distances and zero radii; float32-rounded rows, a common
+    offset of 1e6 and a 1e-150 scale stress the error bound of the fast
+    kernel in three different ways.
+    """
+    n = draw(st.integers(2, max_rows))
+    m = draw(st.integers(2, max_rows))
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["grid", "float32", "normal"]))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    scale = draw(st.sampled_from([1.0, 1e-150]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows(count):
+        if kind == "grid":
+            return rng.integers(-2, 3, size=(count, dim)).astype(np.float64)
+        values = rng.standard_normal((count, dim))
+        return values.astype(np.float32).astype(np.float64) if kind == "float32" else values
+
+    x, y = rows(n), rows(m)
+    if draw(st.booleans()):
+        x[: n // 2] = x[rng.integers(0, n, n // 2)]
+        y[: m // 2] = x[rng.integers(0, n, m // 2)]
+    return (x + offset) * scale, (y + offset) * scale
+
+
+class TestReferenceEquality:
+    """The GEMM kernel takes every ball decision as the per-dimension loop does."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(sets=ball_sets(), k_draw=st.integers(0, 100))
+    def test_radii_and_counts_equal_reference(self, sets, k_draw):
+        x, y = sets
+        k = 1 + k_draw % (x.shape[0] - 1)
+        assert np.array_equal(knn_radii(x, k).radii, reference_radii(x, k))
+        assert density_coverage(x, y, k) == reference_density_coverage(x, y, k)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(sets=ball_sets(), k_draw=st.integers(0, 100))
+    def test_pairwise_entries_equal_reference(self, sets, k_draw):
+        # Pool sets are float32, so the 1e-150 scale collapses them to
+        # duplicates; "c" repeats rows of both "a" and "b".
+        x, y = sets
+        size = min(len(x), len(y))
+        pool = make_pool({"a": x[:size], "b": y[:size], "c": np.vstack([x, y])[-size:]}, x)
+        k = 1 + k_draw % (size - 1)
+        matrix = pairwise_matrix(pool, MetricConfig(k=k))
+        subs = [es.data.astype(np.float64) for _, es in pool.members]
+        for i in range(len(subs)):
+            for j in range(i + 1, len(subs)):
+                forward = harmonic_d(*reference_density_coverage(subs[i], subs[j], k))
+                backward = harmonic_d(*reference_density_coverage(subs[j], subs[i], k))
+                assert matrix.values[i, j] == (forward + backward) / 2.0
+
+    def test_band_recompute_sums_in_reference_order(self):
+        # Magnitudes spread over 16 decades make the rounded sum depend on
+        # the order of its terms, so any other order shows up here.
+        rng = np.random.default_rng(11)
+        for dim in (3, 17, 64):
+            x = rng.standard_normal((25, dim)) * 10.0 ** rng.integers(-8, 9, dim)
+            y = rng.standard_normal((30, dim)) * 10.0 ** rng.integers(-8, 9, dim)
+            rows, cols = np.divmod(np.arange(25 * 30), 30)
+            exact = np.sqrt(_exact_squared(x, y, rows, cols))
+            assert np.array_equal(exact, pairwise_distances(x, y)[rows, cols])
 
 
 class TestHarmonicD:
