@@ -21,11 +21,12 @@ from .objective import (
     ObjectiveVector,
     build_union,
     pairwise_matrix,
+    quota_plan,
 )
-from .optimize import SearchConfig, SelectionManifest, search, select_best
+from .optimize import SearchConfig, SelectionManifest, search, select_best, selection_manifest
 from .report import compute_gap, quality_rows
 from .simulate import emit_pool, load_profile_spec
-from .store import load_pool, write_embeddings
+from .store import Pool, load_pool, write_embeddings
 
 _METRIC_CHOICES = click.Choice(["dnc", "fid"])
 _ALGO_CHOICES = click.Choice(["exhaustive", "random", "nsga2"])
@@ -176,7 +177,9 @@ def _selection_payload(selection: SelectionManifest, provenance: dict) -> dict:
     }
 
 
-def _select_from_front_file(front_path: Path, total: int) -> SelectionManifest:
+def _select_from_front_file(
+    front_path: Path, total: int | None, pool: Pool | None, provenance: dict
+) -> SelectionManifest:
     # Selection straight from an exported front: maximize effective delta,
     # break ties by fewer members then by sorted id list.
     try:
@@ -190,22 +193,29 @@ def _select_from_front_file(front_path: Path, total: int) -> SelectionManifest:
             entries,
             key=lambda e: (-sign * float(e["intra"]), int(e["member_count"]), sorted(e["ids"])),
         )
-        ids = sorted(best["ids"])
+        ids = list(best["ids"])
+        if len(set(ids)) != len(ids):
+            raise DataError(f"front file '{front_path}' names a generator twice in one entry")
         intra, inter = float(best["intra"]), float(best["inter"])
         member_count = int(best["member_count"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"front file '{front_path}' is malformed: {exc!r}") from None
-    n = len(ids)
-    if total < n:
-        raise ParameterError(f"total {total} is smaller than ensemble size {n}")
-    base, extra = divmod(total, n)
-    quotas = {gid: base + (1 if pos < extra else 0) for pos, gid in enumerate(ids)}
     cfg = MetricConfig() if orientation == "higher" else MetricConfig(kind="fid")
     objectives = ObjectiveVector(intra=intra, inter=inter, member_count=member_count, metric=cfg)
-    return SelectionManifest(
-        chosen=tuple(ids), quotas=quotas, objectives=objectives,
-        front_size=len(entries), total=total,
-    )
+    if pool is None:
+        # Without the pool, quotas follow the entry's own id order, which
+        # optimize writes in canonical order.
+        plan = quota_plan(EnsembleGenome((1,) * len(ids)), total)
+        return SelectionManifest(
+            chosen=tuple(ids), quotas={ids[i]: q for i, q in plan}, objectives=objectives,
+            front_size=len(entries), total=total, provenance=provenance,
+        )
+    position = {gid: i for i, gid in enumerate(pool.ids)}
+    unknown = [gid for gid in ids if gid not in position]
+    if unknown:
+        raise DataError(f"front file '{front_path}' names generators not in the pool: {unknown}")
+    genome = EnsembleGenome.from_indices((position[gid] for gid in ids), pool.size, pool.ref)
+    return selection_manifest(genome, objectives, pool, len(entries), total, provenance)
 
 
 @cli.command("select")
@@ -242,13 +252,7 @@ def cmd_select(manifest, front_file, metric, k, standardize, algo, budget, popul
     if front_file is not None:
         if total is None and pool is None:
             raise click.UsageError("--total is required when selecting from a front file alone")
-        budget_total = total if total is not None else pool.real.rows
-        selection = _select_from_front_file(front_file, budget_total)
-        selection = SelectionManifest(
-            chosen=selection.chosen, quotas=selection.quotas,
-            objectives=selection.objectives, front_size=selection.front_size,
-            total=selection.total, provenance=provenance,
-        )
+        selection = _select_from_front_file(front_file, total, pool, provenance)
     else:
         result = _run_search(
             pool, metric, k, standardize, algo, budget, population, crossover,

@@ -5,7 +5,9 @@ around every reference point and count which candidate points fall inside
 them (higher is better); their harmonic combination ``2*dns*cvg/(dns+cvg)``
 is the default scalar metric. The Frechet distance compares Gaussian moment
 summaries of the two sets (lower is better) and serves as the alternative
-metric for ablations.
+metric for ablations. ``covariance_root`` gives the square root of one
+summary's covariance, which ``frechet_distance`` accepts precomputed, so a
+caller comparing one summary against many eigendecomposes it only once.
 
 All ball-membership tests use closed balls (distance <= radius), so a set
 compared against itself always attains coverage 1 even when it contains
@@ -344,6 +346,37 @@ def mutual_density_coverage(
     return _mutual_counts(x, y, k, _profile(x, k, radii_a), _profile(y, k, radii_b))
 
 
+def ball_hits(
+    reference: EmbeddingSet | np.ndarray,
+    candidate: EmbeddingSet | np.ndarray,
+    k: int,
+    radii: RadiusProfile | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ball counts and per-ball first hits of a candidate set, decided exactly.
+
+    Returns ``(counts, first)``: ``counts[j]`` is the number of reference k-NN
+    balls holding candidate row j, and ``first[i]`` is the index of the first
+    candidate row inside ball i, or M (the candidate row count) if none is.
+    So ``density_coverage`` of the first t candidate rows is
+    ``(counts[:t].sum() / (k * t), count_nonzero(first < t) / N)``, for every
+    t at once.
+    """
+    ref = _as_matrix(reference)
+    cand = _as_matrix(candidate)
+    _check_pair(ref, cand)
+    radius = _profile(ref, k, radii)
+    m = cand.shape[0]
+    counts = np.zeros(m, dtype=np.int64)
+    first = np.empty(ref.shape[0], dtype=np.int64)
+    for start, estimate, slack_x, slack_y in _estimate_blocks(ref, cand):
+        stop = start + estimate.shape[0]
+        slack = slack_x + slack_y.max()
+        inside = _closed_ball(ref, cand, start, estimate, radius[start:stop, None], slack[:, None])
+        counts += np.count_nonzero(inside, axis=0)
+        first[start:stop] = np.where(inside.any(axis=1), inside.argmax(axis=1), m)
+    return counts, first
+
+
 def density(
     reference: EmbeddingSet | np.ndarray, candidate: EmbeddingSet | np.ndarray, k: int
 ) -> float:
@@ -388,18 +421,36 @@ def _clamped_eigh(matrix: np.ndarray, context: str) -> tuple[np.ndarray, np.ndar
     return values, vectors
 
 
-def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
+def covariance_root(summary: GaussianSummary) -> np.ndarray:
+    """Symmetric square root S^(1/2) of a summary's covariance.
+
+    Taken through the eigendecomposition of S, with eigenvalues below
+    ``EIGENVALUE_CLAMP`` set to zero.
+    """
+    values, vectors = _clamped_eigh(summary.covariance, "summary covariance")
+    return (vectors * np.sqrt(values)) @ vectors.T
+
+
+def frechet_distance(
+    a: GaussianSummary, b: GaussianSummary, root_a: np.ndarray | None = None
+) -> float:
     """Frechet distance between two Gaussian summaries.
 
     ||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^(1/2)), with the matrix
     square root evaluated through the eigendecomposition of the symmetrized
     product S_a^(1/2) S_b S_a^(1/2). Small eigenvalues are clamped to zero
-    and the result is clamped to be nonnegative.
+    and the result is clamped to be nonnegative. Pass ``root_a``, the
+    ``covariance_root`` of ``a``, to skip its eigendecomposition when
+    comparing one summary against many; the result is the same.
     """
     if a.dim != b.dim:
         raise ParameterError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    vals_a, vecs_a = _clamped_eigh(a.covariance, "covariance of first summary")
-    root_a = (vecs_a * np.sqrt(vals_a)) @ vecs_a.T
+    if root_a is None:
+        root_a = covariance_root(a)
+    elif root_a.shape != a.covariance.shape:
+        raise ParameterError(
+            f"root_a has shape {root_a.shape} but the covariance has {a.covariance.shape}"
+        )
     product = root_a @ b.covariance @ root_a
     product = (product + product.T) / 2.0
     vals_p, _ = _clamped_eigh(product, "covariance product")
@@ -413,10 +464,15 @@ def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
     return max(0.0, value)
 
 
-def _standardized(ref: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _standard_scale(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dimension mean and standard deviation of ``ref``; a zero deviation becomes 1."""
     mean = ref.mean(axis=0)
     scale = ref.std(axis=0, ddof=0)
-    scale = np.where(scale == 0, 1.0, scale)
+    return mean, np.where(scale == 0, 1.0, scale)
+
+
+def _standardized(ref: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mean, scale = _standard_scale(ref)
     return (ref - mean) / scale, (cand - mean) / scale
 
 

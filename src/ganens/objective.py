@@ -6,6 +6,20 @@ from the selected generators under per-generator quotas that sum to the
 real-set size, so the score stays comparable across ensemble sizes. Its
 overlap objective (Delta, "Inter-d") is the mean pairwise metric over the
 selected generators' sets, read from a precomputed symmetric matrix.
+
+``build_union`` draws generator g's share of a union as the first
+``take_g`` rows of one fixed permutation of its rows, seeded by
+(seed, g's id), so every union is a set of per-generator prefixes. For
+density and coverage the evaluator therefore runs the real set's closed
+k-NN balls over each generator's rows once, in permutation order, and
+keeps two integer arrays per generator: ``prefix[t]``, the number of
+(ball, row) hits among the first t rows, and ``first[i]``, the rank of the
+first row inside real ball i (the row count if none is). A union then has
+``sum(prefix_g[take_g])`` hits over ``sum(take_g)`` rows and covers ball i
+iff ``first_g[i] < take_g`` for some member g. Ball decisions are exact and
+counts are integers, so this equals ``intra_d`` of the built union bit for
+bit, whatever the row order inside the union; ``intra_d`` and
+``build_union`` stay as the reference.
 """
 from __future__ import annotations
 
@@ -21,6 +35,9 @@ from .metrics import (
     MetricConfig,
     MetricKind,
     RadiusProfile,
+    _standard_scale,
+    ball_hits,
+    covariance_root,
     frechet_distance,
     gaussian_summary,
     harmonic_d,
@@ -166,6 +183,32 @@ def subsample_rows(dataset: EmbeddingSet, size: int, seed: int, tag: str) -> Emb
     return EmbeddingSet(dataset.data[picked], source_id=f"{dataset.source_id}[{size}]")
 
 
+def _member_takes(genome: EnsembleGenome, pool: Pool, total: int) -> list[tuple[int, int]]:
+    """``quota_plan`` capped at each generator's row count.
+
+    A generator holding fewer rows than its quota gives all of them, and a
+    ShortfallWarning names it at the caller of this function's caller.
+    """
+    takes = []
+    for idx, quota in quota_plan(genome, total):
+        record, dataset = pool.members[idx]
+        take = min(quota, dataset.rows)
+        if take < quota:
+            warnings.warn(
+                f"generator '{record.id}' holds {dataset.rows} rows but quota is {quota}; "
+                f"union will be short by {quota - take}",
+                ShortfallWarning,
+                stacklevel=3,
+            )
+        takes.append((idx, take))
+    return takes
+
+
+def _draw_order(dataset: EmbeddingSet, seed: int, tag: str) -> np.ndarray:
+    """The fixed row permutation whose prefixes ``build_union`` samples."""
+    return seeded_stream(seed, tag, channel=0).permutation(dataset.rows)
+
+
 def build_union(genome: EnsembleGenome, pool: Pool, total: int, seed: int) -> EmbeddingSet:
     """Quota-sampled union of the selected generators' embeddings.
 
@@ -176,21 +219,12 @@ def build_union(genome: EnsembleGenome, pool: Pool, total: int, seed: int) -> Em
     """
     _check_pool(genome, pool)
     parts = []
-    for idx, quota in quota_plan(genome, total):
+    for idx, take in _member_takes(genome, pool, total):
         record, dataset = pool.members[idx]
-        take = min(quota, dataset.rows)
-        if take < quota:
-            warnings.warn(
-                f"generator '{record.id}' holds {dataset.rows} rows but quota is {quota}; "
-                f"union will be short by {quota - take}",
-                ShortfallWarning,
-                stacklevel=2,
-            )
         if take == dataset.rows:
             parts.append(dataset.data)
         else:
-            rng = seeded_stream(seed, record.id, channel=0)
-            picked = np.sort(rng.permutation(dataset.rows)[:take])
+            picked = np.sort(_draw_order(dataset, seed, record.id)[:take])
             parts.append(dataset.data[picked])
     members = "+".join(pool.members[i][0].id for i in genome.indices())
     return EmbeddingSet(np.concatenate(parts, axis=0), source_id=f"union({members})")
@@ -232,36 +266,32 @@ def pairwise_matrix(
         subsample_rows(es, min(sample_per_generator, es.rows), seed, record.id)
         for record, es in pool.members
     ]
-    values = np.zeros((n, n), dtype=np.float64)
-
-    # Per-set state (k-NN radii, Gaussian moments) is computed once; each
-    # cross-distance pass serves both argument orders.
+    # ordered[i, j] is the metric with subs[i] as reference and subs[j] as
+    # candidate; entry (i, j) averages it with ordered[j, i].
+    ordered = np.zeros((n, n), dtype=np.float64)
     if cfg.kind is MetricKind.DENSITY_COVERAGE and not cfg.standardize:
+        # One cross-distance pass serves both argument orders.
         profiles = [knn_radii(s, cfg.k) for s in subs]
-
-        def entry(i: int, j: int) -> float:
-            forward, backward = mutual_density_coverage(
-                subs[i], subs[j], cfg.k, profiles[i], profiles[j]
-            )
-            return (harmonic_d(*forward) + harmonic_d(*backward)) / 2.0
-
+        for i in range(n):
+            for j in range(i + 1, n):
+                forward, backward = mutual_density_coverage(
+                    subs[i], subs[j], cfg.k, profiles[i], profiles[j]
+                )
+                ordered[i, j], ordered[j, i] = harmonic_d(*forward), harmonic_d(*backward)
     elif cfg.kind is MetricKind.FRECHET and not cfg.standardize:
+        # Row by row, so only one covariance root is held at a time.
         summaries = [gaussian_summary(s) for s in subs]
-
-        def entry(i: int, j: int) -> float:
-            return (
-                frechet_distance(summaries[i], summaries[j])
-                + frechet_distance(summaries[j], summaries[i])
-            ) / 2.0
-
+        for i in range(n):
+            root = covariance_root(summaries[i])
+            for j in range(n):
+                if j != i:
+                    ordered[i, j] = frechet_distance(summaries[i], summaries[j], root)
     else:
-
-        def entry(i: int, j: int) -> float:
-            return (metric_d(subs[i], subs[j], cfg) + metric_d(subs[j], subs[i], cfg)) / 2.0
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = entry(i, j)
+        for i in range(n):
+            for j in range(n):
+                if j != i:
+                    ordered[i, j] = metric_d(subs[i], subs[j], cfg)
+    values = (ordered + ordered.T) / 2.0
     return PairwiseMatrix(
         values=values,
         ids=pool.ids,
@@ -290,10 +320,23 @@ def inter_d(genome: EnsembleGenome, matrix: PairwiseMatrix) -> float:
 class EnsembleEvaluator:
     """Memoizing objective evaluator bound to one (pool, metric, seed) triple.
 
-    The pairwise matrix is built lazily on first use and the real-set radius
-    profile is precomputed once. Results are cached by genome bits; cached
-    and uncached evaluations are identical, and concurrent inserts of the
-    same key are harmless because values are deterministic.
+    Everything that does not depend on the genome is computed once, at
+    construction. With ``cfg.standardize`` the real set and every
+    generator's rows are standardized once by the real set's mean and
+    scale, as ``metric_d`` standardizes a union. For density and coverage
+    the real set's k-NN radii are computed once and each generator's rows
+    run through its balls once, in draw order, to give the prefix counts and
+    first-hit ranks the module docstring describes; an evaluation is then
+    integer work over the members, independent of the dimension. For the
+    Frechet kind the real set's summary and covariance root are kept, and an
+    evaluation builds the union, summarizes it and takes one product and one
+    eigendecomposition. Either way the Intra-d value equals ``intra_d``'s
+    bit for bit.
+
+    The pairwise matrix is built lazily on first use. Results are cached by
+    genome bits; cached and uncached evaluations are identical, and
+    concurrent inserts of the same key are harmless because values are
+    deterministic.
     """
 
     def __init__(
@@ -313,9 +356,27 @@ class EnsembleEvaluator:
         self.memoize = memoize
         self._cache: dict[tuple[int, ...], ObjectiveVector] = {}
         self._matrix: PairwiseMatrix | None = None
-        self._radii: RadiusProfile | None = None
-        if self.cfg.kind is MetricKind.DENSITY_COVERAGE and not self.cfg.standardize:
-            self._radii = knn_radii(pool.real, self.cfg.k)
+
+        self._prepare = lambda rows: rows
+        real = pool.real.data.astype(np.float64)
+        if self.cfg.standardize:
+            mean, scale = _standard_scale(real)
+            self._prepare = lambda rows: (rows - mean) / scale
+            real = self._prepare(real)
+        if self.cfg.kind is MetricKind.DENSITY_COVERAGE:
+            radii = knn_radii(real, self.cfg.k)
+            longest = max(dataset.rows for _, dataset in pool.members)
+            # prefix[g, t] is read only for t <= rows of g.
+            self._prefix = np.zeros((pool.size, longest + 1), dtype=np.int64)
+            self._first = np.empty((pool.size, real.shape[0]), dtype=np.int64)
+            for g, (record, dataset) in enumerate(pool.members):
+                order = _draw_order(dataset, self.seed, record.id)
+                rows = self._prepare(dataset.data[order].astype(np.float64))
+                counts, self._first[g] = ball_hits(real, rows, self.cfg.k, radii)
+                np.cumsum(counts, out=self._prefix[g, 1 : dataset.rows + 1])
+        else:
+            self._real_summary = gaussian_summary(real)
+            self._real_root = covariance_root(self._real_summary)
 
     @property
     def matrix(self) -> PairwiseMatrix:
@@ -328,6 +389,17 @@ class EnsembleEvaluator:
             )
         return self._matrix
 
+    def _intra(self, genome: EnsembleGenome) -> float:
+        if self.cfg.kind is MetricKind.FRECHET:
+            union = build_union(genome, self.pool, self.total, self.seed)
+            summary = gaussian_summary(self._prepare(union.data.astype(np.float64)))
+            return frechet_distance(self._real_summary, summary, self._real_root)
+        members, takes = np.array(_member_takes(genome, self.pool, self.total)).T
+        hits = int(self._prefix[members, takes].sum())
+        covered = int(np.count_nonzero((self._first[members] < takes[:, None]).any(axis=0)))
+        dns = hits / (self.cfg.k * int(takes.sum()))
+        return harmonic_d(dns, covered / self._first.shape[1])
+
     def evaluate(self, genome: EnsembleGenome) -> ObjectiveVector:
         key = genome.bits
         if self.memoize:
@@ -335,9 +407,7 @@ class EnsembleEvaluator:
             if cached is not None:
                 return cached
         _check_pool(genome, self.pool)
-        intra = intra_d(
-            genome, self.pool, self.cfg, self.seed, total=self.total, radii=self._radii
-        )
+        intra = self._intra(genome)
         inter = inter_d(genome, self.matrix)
         result = ObjectiveVector(
             intra=float(intra),

@@ -315,6 +315,31 @@ def _selection_key(entry: tuple[EnsembleGenome, ObjectiveVector]):
     return (-objectives.effective()[0], genome.member_count, genome.bits)
 
 
+def selection_manifest(
+    genome: EnsembleGenome,
+    objectives: ObjectiveVector,
+    pool: Pool,
+    front_size: int,
+    total: int | None = None,
+    provenance: dict | None = None,
+) -> SelectionManifest:
+    """The manifest naming ``genome``'s members, in canonical order, with their quotas.
+
+    Members and quotas both come from ``quota_plan``; ``total`` defaults to
+    the real-set size.
+    """
+    budget = pool.real.rows if total is None else int(total)
+    plan = quota_plan(genome, budget)
+    return SelectionManifest(
+        chosen=tuple(pool.members[i][0].id for i, _ in plan),
+        quotas={pool.members[i][0].id: q for i, q in plan},
+        objectives=objectives,
+        front_size=front_size,
+        total=budget,
+        provenance=provenance or {},
+    )
+
+
 def select_best(
     front: ParetoFront,
     pool: Pool,
@@ -328,17 +353,8 @@ def select_best(
     """
     if not front.entries:
         raise ParameterError("cannot select from an empty front")
-    budget = pool.real.rows if total is None else int(total)
     genome, objectives = min(front.entries, key=_selection_key)
-    quotas = {pool.members[i][0].id: q for i, q in quota_plan(genome, budget)}
-    return SelectionManifest(
-        chosen=tuple(pool.members[i][0].id for i in genome.indices()),
-        quotas=quotas,
-        objectives=objectives,
-        front_size=len(front.entries),
-        total=budget,
-        provenance=provenance or {},
-    )
+    return selection_manifest(genome, objectives, pool, len(front.entries), total, provenance)
 
 
 def uniobjective_search(
@@ -355,14 +371,7 @@ def uniobjective_search(
     the multi-objective rule.
     """
     result = search(pool, evaluator, cfg)
-    budget = pool.real.rows if total is None else int(total)
     genome, objectives = min(result.evaluations, key=_selection_key)
-    quotas = {pool.members[i][0].id: q for i, q in quota_plan(genome, budget)}
-    return SelectionManifest(
-        chosen=tuple(pool.members[i][0].id for i in genome.indices()),
-        quotas=quotas,
-        objectives=objectives,
-        front_size=len(result.front.entries),
-        total=budget,
-        provenance=provenance or {},
+    return selection_manifest(
+        genome, objectives, pool, len(result.front.entries), total, provenance
     )

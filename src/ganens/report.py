@@ -7,7 +7,13 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .errors import ParameterError
-from .metrics import density_coverage, frechet_distance, gaussian_summary, knn_radii
+from .metrics import (
+    covariance_root,
+    density_coverage,
+    frechet_distance,
+    gaussian_summary,
+    knn_radii,
+)
 from .objective import EnsembleGenome, build_union, subsample_rows
 from .optimize import SelectionManifest
 from .store import Pool
@@ -90,10 +96,11 @@ def quality_rows(
     """
     radii = knn_radii(pool.real, k)
     real_summary = gaussian_summary(pool.real)
+    real_root = covariance_root(real_summary)
 
     def row(label, candidate) -> QualityRow:
         dns, cvg = density_coverage(pool.real, candidate, k, radii)
-        fid = frechet_distance(real_summary, gaussian_summary(candidate))
+        fid = frechet_distance(real_summary, gaussian_summary(candidate), real_root)
         return QualityRow(label=label, fid=fid, density=dns, coverage=cvg)
 
     rows = []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ganens import (
     EmbeddingSet,
@@ -12,6 +13,11 @@ from ganens import (
     load_pool,
     load_profile_spec,
 )
+
+# Derandomized property tests without a deadline: runs are repeatable, and a
+# slow host cannot fail an example on time alone. Each test sets max_examples.
+settings.register_profile("ganens", deadline=None, derandomize=True)
+settings.load_profile("ganens")
 
 
 def make_pool(sets: dict[str, np.ndarray], real: np.ndarray) -> Pool:

@@ -183,6 +183,56 @@ class TestSelect:
         assert sum(quotas) == 4708
         assert quotas.count(124) == 34 and quotas.count(123) == 4
 
+    @staticmethod
+    def _iteration_pool(tmp_path):
+        """Two generators whose sorted ids ("g-40000" < "g-5000") reverse canonical order."""
+        from ganens import EmbeddingSet, write_embeddings
+
+        rng = np.random.default_rng(5)
+        write_embeddings(EmbeddingSet(rng.normal(size=(400, 3)), "r"), tmp_path / "real.emb")
+        entries, sets = [], {}
+        for gid, iteration, shift in (("g-40000", 40000, 3.0), ("g-5000", 5000, 0.0)):
+            sets[gid] = rng.normal(size=(400, 3)) + shift
+            write_embeddings(EmbeddingSet(sets[gid], gid), tmp_path / f"{gid}.emb")
+            entries.append({"id": gid, "model": "g", "iteration": iteration, "path": f"{gid}.emb"})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"real": "real.emb", "generators": entries}))
+        return manifest, sets
+
+    def test_front_quotas_match_emitted_union(self, tmp_path):
+        manifest, sets = self._iteration_pool(tmp_path)
+        front = tmp_path / "front.json"
+        front.write_text(json.dumps({"orientation": "higher", "front": [
+            {"ids": ["g-40000", "g-5000"], "intra": 1.0, "inter": 0.5, "member_count": 2}]}))
+        code = main(["select", "--front", str(front), "--manifest", str(manifest),
+                     "--total", "601", "--emit-union", "--out", str(tmp_path / "s")])
+        assert code == 0
+        doc = json.loads((tmp_path / "s" / "selection.json").read_text())
+        assert doc["chosen"] == ["g-5000", "g-40000"]
+        assert doc["quotas"] == {"g-5000": 301, "g-40000": 300}
+        union = read_embeddings(tmp_path / "s" / "union.emb").data
+        counts = {}
+        for gid, data in sets.items():
+            own = {row.tobytes() for row in data.astype(np.float32)}
+            counts[gid] = sum(row.tobytes() in own for row in union)
+        assert counts == doc["quotas"]
+
+    @pytest.mark.parametrize(
+        "ids, detail",
+        [(["g-5000", "g-7"], "'g-7'"), (["g-5000", "g-5000"], "twice")],
+        ids=["unknown-id", "repeated-id"],
+    )
+    def test_front_ids_not_naming_an_ensemble_is_data_error(self, tmp_path, capsys, ids,
+                                                            detail):
+        manifest, _ = self._iteration_pool(tmp_path)
+        front = tmp_path / "front.json"
+        front.write_text(json.dumps({"orientation": "higher", "front": [
+            {"ids": ids, "intra": 1.0, "inter": 0.5, "member_count": 2}]}))
+        code = main(["select", "--front", str(front), "--manifest", str(manifest),
+                     "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert detail in capsys.readouterr().err
+
     def test_singleton_front_selected(self, tmp_path):
         front = {
             "orientation": "higher",

@@ -12,6 +12,8 @@ from ganens import (
     NumericError,
     Orientation,
     ParameterError,
+    ball_hits,
+    covariance_root,
     coverage,
     density,
     density_coverage,
@@ -177,15 +179,19 @@ def ball_sets(draw, max_rows=14):
 class TestReferenceEquality:
     """The GEMM kernel takes every ball decision as the per-dimension loop does."""
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=400)
     @given(sets=ball_sets(), k_draw=st.integers(0, 100))
     def test_radii_and_counts_equal_reference(self, sets, k_draw):
         x, y = sets
         k = 1 + k_draw % (x.shape[0] - 1)
         assert np.array_equal(knn_radii(x, k).radii, reference_radii(x, k))
         assert density_coverage(x, y, k) == reference_density_coverage(x, y, k)
+        inside = pairwise_distances(x, y) <= reference_radii(x, k)[:, None]
+        counts, first = ball_hits(x, y, k)
+        assert np.array_equal(counts, inside.sum(axis=0))
+        assert np.array_equal(first, np.where(inside.any(axis=1), inside.argmax(axis=1), len(y)))
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(sets=ball_sets(), k_draw=st.integers(0, 100))
     def test_pairwise_entries_equal_reference(self, sets, k_draw):
         # Pool sets are float32, so the 1e-150 scale collapses them to
@@ -286,6 +292,17 @@ class TestFrechet:
         b = GaussianSummary(np.zeros(3), np.eye(3))
         with pytest.raises(ParameterError):
             frechet_distance(a, b)
+
+    def test_precomputed_root_gives_the_same_value(self):
+        rng = np.random.default_rng(12)
+        a = gaussian_summary(rng.standard_normal((40, 5)) * rng.uniform(0.5, 2, 5))
+        root = covariance_root(a)
+        assert np.allclose(root @ root, a.covariance)
+        for seed in range(5):
+            b = gaussian_summary(np.random.default_rng(seed).standard_normal((30, 5)) + seed)
+            assert frechet_distance(a, b, root) == frechet_distance(a, b)
+        with pytest.raises(ParameterError, match="root_a"):
+            frechet_distance(a, b, np.eye(4))
 
     def test_non_finite_covariance_raises_numeric(self):
         a = GaussianSummary(np.zeros(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ganens import (
     EnsembleEvaluator,
@@ -9,6 +13,8 @@ from ganens import (
     ParameterError,
     ShortfallWarning,
     build_union,
+    frechet_distance,
+    gaussian_summary,
     inter_d,
     intra_d,
     pairwise_matrix,
@@ -160,6 +166,18 @@ class TestPairwiseMatrix:
         assert matrix.entry(0, 2) == 0.0
         assert matrix.entry(1, 2) == 0.0
 
+    def test_frechet_entries_average_both_orders(self):
+        pool = self._pool()
+        matrix = pairwise_matrix(pool, MetricConfig(kind="fid"), seed=0)
+        summaries = [gaussian_summary(es) for _, es in pool.members]
+        for i in range(pool.size):
+            for j in range(pool.size):
+                want = 0.0 if i == j else (
+                    frechet_distance(summaries[i], summaries[j])
+                    + frechet_distance(summaries[j], summaries[i])
+                ) / 2.0
+                assert matrix.values[i, j] == want
+
     def test_sample_sizes_recorded(self):
         pool = self._pool()
         matrix = pairwise_matrix(pool, MetricConfig(k=1), sample_per_generator=12, seed=0)
@@ -277,6 +295,85 @@ class TestEvaluator:
         pool = self._pool()
         evaluator = EnsembleEvaluator(pool, MetricConfig(k=2), seed=0)
         assert evaluator.evaluate(genome((0, 1, 0), pool)).inter == 0.0
+
+
+@st.composite
+def evaluator_cases(draw):
+    """A small pool, a neighbour count, some genomes and a union size.
+
+    Integer-grid rows sit exactly on one another's radii, and copied rows
+    give zero distances; unions up to three times the real-set size leave
+    small generators short of their quota.
+    """
+    dim = draw(st.integers(1, 4))
+    n_real = draw(st.integers(3, 16))
+    sizes = draw(st.lists(st.integers(2, 24), min_size=1, max_size=4))
+    grid = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows(count):
+        if grid:
+            return rng.integers(-2, 3, size=(count, dim)).astype(np.float64)
+        return rng.standard_normal((count, dim))
+
+    real = rows(n_real)
+    sets = {}
+    for g, size in enumerate(sizes):
+        data = rows(size)
+        if draw(st.booleans()):
+            data[: size // 2] = real[rng.integers(0, n_real, size // 2)]
+        sets[f"g{g}"] = data
+    pool = make_pool(sets, real)
+    k = draw(st.integers(1, min(n_real, *sizes) - 1))
+    genomes = []
+    for _ in range(draw(st.integers(1, 4))):
+        bits = draw(st.lists(st.integers(0, 1), min_size=len(sizes), max_size=len(sizes)))
+        bits[draw(st.integers(0, len(sizes) - 1))] = 1
+        genomes.append(EnsembleGenome(tuple(bits), pool.ref))
+    total = draw(st.one_of(st.none(), st.integers(len(sizes), 3 * n_real)))
+    return pool, k, genomes, total
+
+
+class TestEvaluatorEqualsReference:
+    """The precomputed evaluator gives intra_d's value bit for bit."""
+
+    @settings(max_examples=300)
+    @given(
+        case=evaluator_cases(),
+        kind=st.sampled_from(["dnc", "fid"]),
+        standardize=st.booleans(),
+        seed=st.integers(0, 3),
+    )
+    def test_intra_equals_intra_d(self, case, kind, standardize, seed):
+        pool, k, genomes, total = case
+        cfg = MetricConfig(kind=kind, k=k, standardize=standardize)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShortfallWarning)
+            evaluator = EnsembleEvaluator(pool, cfg, seed=seed, total=total)
+            for g in genomes:
+                try:
+                    want = intra_d(g, pool, cfg, seed, total=total)
+                except ParameterError:  # a one-row union has no covariance
+                    with pytest.raises(ParameterError):
+                        evaluator.evaluate(g)
+                    continue
+                assert evaluator.evaluate(g).intra == want
+
+    def test_every_fixture_genome(self, fixture_pool):
+        cfg = MetricConfig()
+        evaluator = EnsembleEvaluator(fixture_pool, cfg, seed=0)
+        for mask in range(1, 1 << fixture_pool.size):
+            bits = tuple((mask >> i) & 1 for i in range(fixture_pool.size))
+            g = EnsembleGenome(bits, fixture_pool.ref)
+            assert evaluator.evaluate(g).intra == intra_d(g, fixture_pool, cfg, seed=0)
+
+    @pytest.mark.parametrize("kind", ["dnc", "fid"])
+    def test_shortfall_warning_from_evaluate(self, kind):
+        rng = np.random.default_rng(2)
+        pool = make_pool({"tiny": rng.normal(size=(3, 3))}, rng.normal(size=(8, 3)))
+        evaluator = EnsembleEvaluator(pool, MetricConfig(kind=kind, k=2), seed=0, total=5)
+        with pytest.warns(ShortfallWarning, match="short by 2"):
+            evaluator.evaluate(genome((1,), pool))
 
 
 class TestPermutationSafety:
