@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -159,12 +159,12 @@ def quota_plan(genome: EnsembleGenome, total: int) -> list[tuple[int, int]]:
     return [(idx, base + (1 if pos < extra else 0)) for pos, idx in enumerate(selected)]
 
 
-def _check_pool(genome: EnsembleGenome, pool: Pool) -> None:
+def _check_pool(genome: EnsembleGenome, pool: Pool, ref: str | None = None) -> None:
     if len(genome.bits) != pool.size:
         raise ParameterError(
             f"genome length {len(genome.bits)} does not match pool size {pool.size}"
         )
-    if genome.pool_ref and genome.pool_ref != pool.ref:
+    if genome.pool_ref and genome.pool_ref != (ref or pool.ref):
         raise ParameterError("genome was built against a different pool")
 
 
@@ -354,6 +354,7 @@ class EnsembleEvaluator:
         self.total = pool.real.rows if total is None else int(total)
         self.sample_per_generator = sample_per_generator
         self.memoize = memoize
+        self._ref = pool.ref
         self._cache: dict[tuple[int, ...], ObjectiveVector] = {}
         self._matrix: PairwiseMatrix | None = None
 
@@ -391,7 +392,8 @@ class EnsembleEvaluator:
 
     def _intra(self, genome: EnsembleGenome) -> float:
         if self.cfg.kind is MetricKind.FRECHET:
-            union = build_union(genome, self.pool, self.total, self.seed)
+            # evaluate has checked the genome; a ref-less copy skips the rehash.
+            union = build_union(replace(genome, pool_ref=""), self.pool, self.total, self.seed)
             summary = gaussian_summary(self._prepare(union.data.astype(np.float64)))
             return frechet_distance(self._real_summary, summary, self._real_root)
         members, takes = np.array(_member_takes(genome, self.pool, self.total)).T
@@ -406,7 +408,7 @@ class EnsembleEvaluator:
             cached = self._cache.get(key)
             if cached is not None:
                 return cached
-        _check_pool(genome, self.pool)
+        _check_pool(genome, self.pool, self._ref)
         intra = self._intra(genome)
         inter = inter_d(genome, self.matrix)
         result = ObjectiveVector(

@@ -6,7 +6,11 @@ evolutionary loop. Every evaluated genome is archived; the front is always
 extracted over the full archive, not just the final population. The
 evolutionary loop never re-evaluates a genome it has already seen, so its
 budget counts unique evaluations and the search degenerates gracefully into
-full enumeration once the budget covers the whole space.
+full enumeration once the budget covers the whole space. Dominance works on
+one (m, 2) array of effective objectives: the front is the O(m log m) 2-D
+maxima sweep of Kung, Luccio & Preparata (JACM 1975), and NSGA-II ranks (Deb
+et al., IEEE TEVC 2002) peel a broadcast dominance matrix. Both agree
+exactly with pairwise ``dominates``.
 """
 from __future__ import annotations
 
@@ -103,20 +107,36 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     return a_intra >= b_intra and a_inter <= b_inter and (a_intra > b_intra or a_inter < b_inter)
 
 
+def _effective_points(objectives: list[ObjectiveVector]) -> np.ndarray:
+    """The (m, 2) effective objectives; mixed orientations fail as in ``dominates``."""
+    if any(o.metric.orientation is not objectives[0].metric.orientation for o in objectives):
+        raise ParameterError("cannot compare objective vectors with different orientations")
+    return np.array([o.effective() for o in objectives], dtype=np.float64)
+
+
 def extract_front(
     evaluated: list[tuple[EnsembleGenome, ObjectiveVector]]
 ) -> ParetoFront:
-    """Non-dominated subset of an evaluation archive."""
+    """Non-dominated subset of an evaluation archive, by Kung et al.'s sweep.
+
+    Entries sort by descending effective delta, then ascending Delta. A group
+    of equal delta keeps its entries at the group's least Delta if that lies
+    strictly below every Delta of higher delta; equal points all stay.
+    """
     if not evaluated:
         raise ParameterError("cannot extract a front from an empty evaluation list")
     unique: dict[tuple[int, ...], tuple[EnsembleGenome, ObjectiveVector]] = {}
     for genome, objectives in evaluated:
         unique.setdefault(genome.bits, (genome, objectives))
     entries = list(unique.values())
-    keep = []
-    for i, (_, obj_i) in enumerate(entries):
-        if not any(dominates(obj_j, obj_i) for j, (_, obj_j) in enumerate(entries) if j != i):
-            keep.append(entries[i])
+    points = _effective_points([objectives for _, objectives in entries])
+    order = np.lexsort((points[:, 1], -points[:, 0]))
+    delta, overlap = points[order].T
+    starts = np.r_[True, delta[1:] != delta[:-1]]
+    group = np.cumsum(starts) - 1
+    least = overlap[starts]  # each group sorts by ascending Delta
+    above = np.r_[np.inf, np.minimum.accumulate(least)[:-1]]
+    keep = [entries[i] for i in order[(overlap == least[group]) & (least[group] < above[group])]]
     keep.sort(key=lambda e: (-e[1].effective()[0], e[1].effective()[1], e[0].bits))
     orientation = evaluated[0][1].metric.orientation
     return ParetoFront(entries=tuple(keep), orientation=orientation)
@@ -161,9 +181,10 @@ def _novel_bits(
             if t not in seen:
                 return t
     if n <= EXHAUSTIVE_CAP:
-        seen_masks = {sum(b << i for i, b in enumerate(s)) for s in seen}
-        remaining = [m for m in range(1, space + 1) if m not in seen_masks]
-        return _bits_from_mask(remaining[int(rng.integers(len(remaining)))], n)
+        mask = int(rng.integers(space - len(seen))) + 1  # rank among the unseen masks
+        for taken in sorted(sum(b << i for i, b in enumerate(s)) for s in seen):
+            mask += taken <= mask  # a seen mask at or below the candidate shifts it on
+        return _bits_from_mask(mask, n)
     for _ in range(10_000):
         t = _random_bits(rng, n)
         if t not in seen:
@@ -172,34 +193,24 @@ def _novel_bits(
 
 
 def _rank_and_crowd(objectives: list[ObjectiveVector]) -> tuple[np.ndarray, np.ndarray]:
-    """Fast non-dominated sort ranks plus per-front crowding distances."""
-    m = len(objectives)
-    ranks = np.zeros(m, dtype=np.int64)
-    dominated_by = [0] * m
-    dominating: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dominates(objectives[i], objectives[j]):
-                dominating[i].append(j)
-                dominated_by[j] += 1
-            elif dominates(objectives[j], objectives[i]):
-                dominating[j].append(i)
-                dominated_by[i] += 1
-    current = [i for i in range(m) if dominated_by[i] == 0]
-    rank = 0
-    while current:
-        nxt = []
-        for i in current:
-            ranks[i] = rank
-            for j in dominating[i]:
-                dominated_by[j] -= 1
-                if dominated_by[j] == 0:
-                    nxt.append(j)
-        current = nxt
-        rank += 1
+    """Non-dominated sort ranks plus per-front crowding distances (Deb et al.).
+
+    Ranks peel ``dominance[i, j]`` (i dominates j, the test of ``dominates``):
+    the unranked points with no unranked dominator form the next front.
+    """
+    points = _effective_points(objectives)
+    m = len(points)
+    x, y = points[:, :1], points[:, 1:]
+    dominance = (x >= x.T) & (y <= y.T) & ((x > x.T) | (y < y.T))
+    dominators = dominance.sum(axis=0)
+    ranks = np.full(m, -1, dtype=np.int64)
+    current, rank = np.flatnonzero(dominators == 0), 0
+    while current.size:
+        ranks[current] = rank
+        dominators -= dominance[current].sum(axis=0)
+        current, rank = np.flatnonzero((dominators == 0) & (ranks < 0)), rank + 1
 
     crowd = np.zeros(m, dtype=np.float64)
-    points = np.array([o.effective() for o in objectives], dtype=np.float64)
     for r in range(int(ranks.max()) + 1):
         members = np.flatnonzero(ranks == r)
         if len(members) <= 2:
@@ -286,9 +297,10 @@ def search(pool: Pool, evaluator, cfg: SearchConfig) -> SearchResult:
     if n < 1:
         raise ParameterError("pool has no generators")
     evaluations: list[tuple[EnsembleGenome, ObjectiveVector]] = []
+    ref = pool.ref
 
     def evaluate_bits(bits: tuple[int, ...]) -> ObjectiveVector:
-        genome = EnsembleGenome(bits, pool.ref)
+        genome = EnsembleGenome(bits, ref)
         objectives = evaluator(genome)
         evaluations.append((genome, objectives))
         return objectives

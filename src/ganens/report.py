@@ -92,7 +92,8 @@ def quality_rows(
 
     Rows cover each generator (subsampled to at most the real-set size for
     comparability), then the selected union when a selection manifest is
-    given, then an all-generators union when ``include_all`` is set.
+    given, then an all-generators union when ``include_all`` is set, of the
+    real-set size or one row per generator, whichever is larger.
     """
     radii = knn_radii(pool.real, k)
     real_summary = gaussian_summary(pool.real)
@@ -117,5 +118,5 @@ def quality_rows(
         rows.append(row("union", build_union(genome, pool, selection.total, seed)))
     if include_all:
         genome = EnsembleGenome((1,) * pool.size, pool.ref)
-        rows.append(row("all", build_union(genome, pool, pool.real.rows, seed)))
+        rows.append(row("all", build_union(genome, pool, max(pool.real.rows, pool.size), seed)))
     return rows

@@ -285,6 +285,25 @@ class TestQuality:
         assert scatter[0] == "label,diversity,fidelity"
         assert len(scatter) == len(lines)
 
+    def test_include_all_with_more_generators_than_real_rows(self, tmp_path):
+        from ganens import EmbeddingSet, write_embeddings
+
+        rng = np.random.default_rng(9)
+        write_embeddings(EmbeddingSet(rng.normal(size=(10, 3)), "r"), tmp_path / "real.emb")
+        entries = []
+        for i in range(12):
+            gid = f"g{i:02d}"
+            write_embeddings(EmbeddingSet(rng.normal(size=(10, 3)), gid), tmp_path / f"{gid}.emb")
+            entries.append({"id": gid, "model": gid, "iteration": 0, "path": f"{gid}.emb"})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"real": "real.emb", "generators": entries}))
+        code = main(
+            ["quality", "--manifest", str(manifest), "--include-all", "--out", str(tmp_path / "q")]
+        )
+        assert code == 0
+        lines = (tmp_path / "q" / "quality.csv").read_text().strip().split("\n")
+        assert [line.split(",")[0] for line in lines[1:]][-1] == "all"
+
 
 class TestGap:
     @pytest.mark.parametrize(

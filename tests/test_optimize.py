@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ganens import (
     EnsembleEvaluator,
@@ -14,6 +18,7 @@ from ganens import (
     select_best,
     uniobjective_search,
 )
+from ganens.optimize import _bits_from_mask, _novel_bits, _rank_and_crowd
 
 from conftest import make_pool
 
@@ -25,6 +30,79 @@ def vec(intra, inter, members=1, kind="dnc"):
 def entry(bits, intra, inter):
     g = EnsembleGenome(tuple(bits))
     return (g, vec(intra, inter, members=g.member_count))
+
+
+# A coarse grid gives many ties; 0.0 turns into -0.0 under Frechet negation.
+GRID = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def archives(draw):
+    """1 to 150 entries over 8-bit genomes, so bits and points both repeat."""
+    kind = draw(st.sampled_from(["dnc", "fid"]))
+    m = draw(st.integers(1, 150))
+    masks = draw(st.lists(st.integers(1, 255), min_size=m, max_size=m))
+    points = draw(st.lists(st.tuples(GRID, GRID), min_size=m, max_size=m))
+    archive = []
+    for mask, (intra, inter) in zip(masks, points):
+        genome = EnsembleGenome(_bits_from_mask(mask, 8))
+        archive.append((genome, vec(intra, inter, genome.member_count, kind)))
+    return archive
+
+
+def pairwise_front(evaluated):
+    """O(m^2) reference: the deduplicated entries that no other entry dominates."""
+    unique = {}
+    for genome, objectives in evaluated:
+        unique.setdefault(genome.bits, (genome, objectives))
+    entries = list(unique.values())
+    keep = [e for e in entries if not any(dominates(f[1], e[1]) for f in entries if f is not e)]
+    keep.sort(key=lambda e: (-e[1].effective()[0], e[1].effective()[1], e[0].bits))
+    return keep
+
+
+def pairwise_rank_and_crowd(objectives):
+    """Reference: Deb's fast non-dominated sort over pairwise ``dominates`` calls."""
+    m = len(objectives)
+    ranks = np.zeros(m, dtype=np.int64)
+    dominated_by = [0] * m
+    dominating = [[] for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if dominates(objectives[i], objectives[j]):
+                dominating[i].append(j)
+                dominated_by[j] += 1
+            elif dominates(objectives[j], objectives[i]):
+                dominating[j].append(i)
+                dominated_by[i] += 1
+    current = [i for i in range(m) if dominated_by[i] == 0]
+    rank = 0
+    while current:
+        nxt = []
+        for i in current:
+            ranks[i] = rank
+            for j in dominating[i]:
+                dominated_by[j] -= 1
+                if dominated_by[j] == 0:
+                    nxt.append(j)
+        current = nxt
+        rank += 1
+    crowd = np.zeros(m, dtype=np.float64)
+    points = np.array([o.effective() for o in objectives], dtype=np.float64)
+    for r in range(int(ranks.max()) + 1):
+        members = np.flatnonzero(ranks == r)
+        if len(members) <= 2:
+            crowd[members] = np.inf
+            continue
+        for axis in range(2):
+            order = members[np.argsort(points[members, axis], kind="stable")]
+            lo, hi = points[order[0], axis], points[order[-1], axis]
+            crowd[order[0]] = np.inf
+            crowd[order[-1]] = np.inf
+            if hi > lo:
+                gaps = (points[order[2:], axis] - points[order[:-2], axis]) / (hi - lo)
+                crowd[order[1:-1]] += gaps
+    return ranks, crowd
 
 
 class TestDominates:
@@ -100,6 +178,70 @@ class TestExtractFront:
         front = extract_front(evaluated)
         deltas = [o.effective()[0] for _, o in front.entries]
         assert deltas == sorted(deltas, reverse=True)
+
+    @settings(max_examples=150)
+    @given(archive=archives())
+    def test_equals_pairwise_reference(self, archive):
+        front = extract_front(archive)
+        expected = pairwise_front(archive)
+        assert len(front.entries) == len(expected)
+        assert all(g is h and o is p for (g, o), (h, p) in zip(front.entries, expected))
+
+    def test_mixed_orientation_rejected(self):
+        fid = EnsembleGenome((0, 1))
+        evaluated = [entry((1, 0), 0.5, 0.1), (fid, vec(0.4, 0.2, kind="fid"))]
+        with pytest.raises(ParameterError, match="orientations"):
+            extract_front(evaluated)
+        with pytest.raises(ParameterError, match="orientations"):
+            _rank_and_crowd([o for _, o in evaluated])
+
+
+class TestRankAndCrowd:
+    @settings(max_examples=100)
+    @given(archive=archives())
+    def test_equals_pairwise_reference(self, archive):
+        objectives = [o for _, o in archive]
+        ranks, crowd = _rank_and_crowd(objectives)
+        expected_ranks, expected_crowd = pairwise_rank_and_crowd(objectives)
+        assert np.array_equal(ranks, expected_ranks)
+        assert np.array_equal(crowd, expected_crowd)
+
+
+def listed_novel_bits(bits, rng, seen):
+    """Reference for pools of at most 20 generators: list every unseen mask, then draw."""
+    if bits not in seen:
+        return bits
+    n = len(bits)
+    space = (1 << n) - 1
+    if len(seen) >= space:
+        return None
+    for flips in (1, 2, 4, 8):
+        for _ in range(16):
+            cand = list(bits)
+            for pos in rng.integers(0, n, size=flips):
+                cand[pos] ^= 1
+            if sum(cand) == 0:
+                cand[int(rng.integers(n))] = 1
+            t = tuple(cand)
+            if t not in seen:
+                return t
+    seen_masks = {sum(b << i for i, b in enumerate(s)) for s in seen}
+    remaining = [m for m in range(1, space + 1) if m not in seen_masks]
+    return _bits_from_mask(remaining[int(rng.integers(len(remaining)))], n)
+
+
+class TestNovelBits:
+    @settings(max_examples=200)
+    @given(data=st.data(), n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1))
+    def test_equals_listing_reference(self, data, n, seed):
+        # A nearly full archive makes the random flips miss, so the exact draw runs.
+        space = (1 << n) - 1
+        unseen = data.draw(st.sets(st.integers(1, space), max_size=3))
+        seen = {_bits_from_mask(m, n) for m in range(1, space + 1) if m not in unseen}
+        bits = data.draw(st.sampled_from(sorted(seen)))
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _novel_bits(bits, rng, seen) == listed_novel_bits(bits, reference_rng, seen)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def small_pool(seed=3, generators=6, rows=40, dim=4):
@@ -178,6 +320,49 @@ class TestSearch:
             SearchConfig(budget=0)
         with pytest.raises(ParameterError):
             SearchConfig(crossover_rate=1.5)
+
+
+def search_digest(entries):
+    text = repr([(g.bits, o.intra.hex(), o.inter.hex()) for g, o in entries])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# Digests of the archive and the front, bit for bit, as the pairwise
+# dominance loops produced them; any change to search output changes them.
+GOLDEN = [
+    (6, dict(algorithm="nsga2", budget=40, population=10, seed=9),
+     "e2725c8f8987ba3417fe5b02574c484144350bb43dd50eb1ab4554786a26444a",
+     "e0658edc303d63ab4bd2ede1923e9659e06fa5c0cbad82332b088212478bf4c7"),
+    (6, dict(algorithm="random", budget=40, seed=9),
+     "3b64a13899df3fa26f2a8cd273e4f22fd0b4cf2ffb93892783a01be58fda600c",
+     "ecf07aa24e6d4269bb493a52ce41b6cb9356898634d7f06084cc001880399e6c"),
+    (6, dict(algorithm="exhaustive", seed=0),
+     "75c93b06f10b88bb6a572ba3130fd78c7f1a143bdbbade0188d00a1d865a5a10",
+     "3aca0d12dd85ce697b2073605d650b0c8050354ee9e1c39b63b5fcd70cc087d0"),
+    (12, dict(algorithm="nsga2", budget=300, population=20, seed=5),
+     "c8c65818a6527c402a159a4222d8af17babc768bbe6d34203d0cba70b3159c11",
+     "fe8727e2a8a74e3f9de80ee4a472abe24377f387866ecc6649a66b886a1591c4"),
+    # Budgets past the space, so the exact draw of _novel_bits runs.
+    (6, dict(algorithm="nsga2", budget=100, population=10, seed=3),
+     "acab8fe563997d2706436fa8c7343837b895350e90580bf9df7bd2035c1d2a0a",
+     "3aca0d12dd85ce697b2073605d650b0c8050354ee9e1c39b63b5fcd70cc087d0"),
+    (5, dict(algorithm="nsga2", budget=40, population=4, seed=2),
+     "89bf2358f1c77b585cabfc2fb202debfd29fd540c0bf7340d313e6fa6ca02537",
+     "883e3b554709a5a1250c7024aedcc4c0bdf9411c26e8fdfa66d374488c39d7c5"),
+]
+
+
+@pytest.mark.parametrize(
+    "generators, config, archive_digest, front_digest",
+    GOLDEN,
+    ids=["nsga2", "random", "exhaustive", "nsga2-p12", "nsga2-past-space", "nsga2-p5-past-space"],
+)
+def test_search_golden_digest(generators, config, archive_digest, front_digest):
+    pool = small_pool(generators=generators)
+    evaluator = EnsembleEvaluator(pool, MetricConfig(k=2), seed=0)
+    result = search(pool, evaluator, SearchConfig(**config))
+    assert search_digest(result.evaluations) == archive_digest
+    assert search_digest(result.front.entries) == front_digest
 
 
 class TestSelectBest:
