@@ -287,6 +287,10 @@ def cmd_quality(manifest, selection, k, seed, include_all, out) -> None:
     if selection is not None:
         try:
             doc = json.loads(Path(selection).read_text(encoding="utf-8"))
+            if not isinstance(doc["quotas"], dict):
+                raise DataError(
+                    f"selection file '{selection}' is malformed: 'quotas' must map ids to counts"
+                )
             selected = SelectionManifest(
                 chosen=tuple(doc["chosen"]),
                 quotas={k_: int(v) for k_, v in doc["quotas"].items()},
@@ -299,8 +303,14 @@ def cmd_quality(manifest, selection, k, seed, include_all, out) -> None:
                 front_size=int(doc["front_size"]),
                 total=int(doc["total"]),
             )
+            known = set(pool.ids)
+            unknown = [gid for gid in selected.chosen if gid not in known]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"selection file '{selection}' is malformed: {exc}") from None
+        if unknown:
+            raise DataError(
+                f"selection file '{selection}' names generators not in the pool: {unknown}"
+            )
     rows = quality_rows(pool, k=k, seed=seed, selection=selected, include_all=include_all)
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance(

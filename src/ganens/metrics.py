@@ -58,6 +58,7 @@ falls in the band and is recomputed.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -95,9 +96,10 @@ class MetricConfig:
     """Which metric to run and with what knobs.
 
     ``k`` is the neighbor count for density/coverage and is ignored by the
-    Frechet kind. ``standardize`` rescales both sets by the reference's
-    per-dimension mean and standard deviation before comparing (off by
-    default: the embedding backbone already defines the geometry).
+    Frechet kind. ``standardize`` puts every set, generators included, in
+    the real set's frame before comparing (``real_frame``), so Intra-d and
+    Inter-d measure in one geometry (off by default: the embedding backbone
+    already defines the geometry).
     """
 
     kind: MetricKind = MetricKind.DENSITY_COVERAGE
@@ -464,37 +466,38 @@ def frechet_distance(
     return max(0.0, value)
 
 
-def _standard_scale(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension mean and standard deviation of ``ref``; a zero deviation becomes 1."""
+def real_frame(
+    real: EmbeddingSet | np.ndarray, standardize: bool
+) -> Callable[[EmbeddingSet | np.ndarray], np.ndarray]:
+    """The map that puts rows in the real set's frame, as contiguous float64.
+
+    Without ``standardize`` it only converts the type. With it, each
+    dimension is centred on the real set's mean and divided by its
+    population standard deviation; a deviation of 0 becomes 1.
+    """
+    if not standardize:
+        return _as_matrix
+    ref = _as_matrix(real)
     mean = ref.mean(axis=0)
-    scale = ref.std(axis=0, ddof=0)
-    return mean, np.where(scale == 0, 1.0, scale)
-
-
-def _standardized(ref: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean, scale = _standard_scale(ref)
-    return (ref - mean) / scale, (cand - mean) / scale
+    scale = ref.std(axis=0)
+    scale[scale == 0] = 1.0
+    return lambda rows: (_as_matrix(rows) - mean) / scale
 
 
 def metric_d(
     reference: EmbeddingSet | np.ndarray,
     candidate: EmbeddingSet | np.ndarray,
     cfg: MetricConfig,
-    radii: RadiusProfile | None = None,
 ) -> float:
     """Scalar distribution-quality metric between reference and candidate.
 
     The first argument is always the reference whose manifold defines the
-    k-NN balls; density/coverage is asymmetric in its arguments. A
-    precomputed ``radii`` profile is ignored when ``cfg.standardize`` is
-    set, since standardization changes the reference geometry.
+    k-NN balls; density/coverage is asymmetric in its arguments. With
+    ``cfg.standardize`` both sets go into the reference's frame, which is
+    the real set's when ``intra_d`` calls it.
     """
-    ref = _as_matrix(reference)
-    cand = _as_matrix(candidate)
-    if cfg.standardize:
-        ref, cand = _standardized(ref, cand)
-        radii = None
+    to_frame = real_frame(reference, cfg.standardize)
+    ref, cand = to_frame(reference), to_frame(candidate)
     if cfg.kind is MetricKind.DENSITY_COVERAGE:
-        dns, cvg = density_coverage(ref, cand, cfg.k, radii)
-        return harmonic_d(dns, cvg)
+        return harmonic_d(*density_coverage(ref, cand, cfg.k))
     return frechet_distance(gaussian_summary(ref), gaussian_summary(cand))

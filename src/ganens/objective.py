@@ -34,8 +34,6 @@ from .errors import ParameterError, ShortfallWarning
 from .metrics import (
     MetricConfig,
     MetricKind,
-    RadiusProfile,
-    _standard_scale,
     ball_hits,
     covariance_root,
     frechet_distance,
@@ -44,6 +42,7 @@ from .metrics import (
     knn_radii,
     metric_d,
     mutual_density_coverage,
+    real_frame,
 )
 from .store import EmbeddingSet, Pool
 from .util import readonly, seeded_stream
@@ -117,9 +116,6 @@ class PairwiseMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", readonly(np.asarray(self.values, dtype=np.float64)))
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.values[i, j])
 
     def write_csv(self, dest: str | Path, provenance: dict | None = None) -> None:
         """CSV with a generator-id header row plus a JSON metadata sidecar."""
@@ -236,12 +232,10 @@ def intra_d(
     cfg: MetricConfig,
     seed: int,
     total: int | None = None,
-    radii: RadiusProfile | None = None,
 ) -> float:
     """Metric between the real set and the genome's quota-sampled union."""
     budget = pool.real.rows if total is None else total
-    union = build_union(genome, pool, budget, seed)
-    return metric_d(pool.real, union, cfg, radii=radii)
+    return metric_d(pool.real, build_union(genome, pool, budget, seed), cfg)
 
 
 def pairwise_matrix(
@@ -254,8 +248,9 @@ def pairwise_matrix(
 
     Entry (i, j) averages both argument orders of the metric over seeded
     subsamples, which reproduces the ordered-pair mean exactly while halving
-    the work. The default subsample size is the smallest generator size,
-    capped at the real-set size.
+    the work. Every subsample is compared in the real set's frame
+    (``real_frame``), as Intra-d is. The default subsample size is the
+    smallest generator size, capped at the real-set size.
     """
     n = pool.size
     if sample_per_generator is None:
@@ -269,28 +264,27 @@ def pairwise_matrix(
     # ordered[i, j] is the metric with subs[i] as reference and subs[j] as
     # candidate; entry (i, j) averages it with ordered[j, i].
     ordered = np.zeros((n, n), dtype=np.float64)
-    if cfg.kind is MetricKind.DENSITY_COVERAGE and not cfg.standardize:
+    # Sets enter the frame where they are used, so no float64 copy of the
+    # whole pool is alive at once.
+    to_frame = real_frame(pool.real, cfg.standardize)
+    if cfg.kind is MetricKind.DENSITY_COVERAGE:
         # One cross-distance pass serves both argument orders.
-        profiles = [knn_radii(s, cfg.k) for s in subs]
+        profiles = [knn_radii(to_frame(s), cfg.k) for s in subs]
         for i in range(n):
+            x = to_frame(subs[i])
             for j in range(i + 1, n):
                 forward, backward = mutual_density_coverage(
-                    subs[i], subs[j], cfg.k, profiles[i], profiles[j]
+                    x, to_frame(subs[j]), cfg.k, profiles[i], profiles[j]
                 )
                 ordered[i, j], ordered[j, i] = harmonic_d(*forward), harmonic_d(*backward)
-    elif cfg.kind is MetricKind.FRECHET and not cfg.standardize:
+    else:
         # Row by row, so only one covariance root is held at a time.
-        summaries = [gaussian_summary(s) for s in subs]
+        summaries = [gaussian_summary(to_frame(s)) for s in subs]
         for i in range(n):
             root = covariance_root(summaries[i])
             for j in range(n):
                 if j != i:
                     ordered[i, j] = frechet_distance(summaries[i], summaries[j], root)
-    else:
-        for i in range(n):
-            for j in range(n):
-                if j != i:
-                    ordered[i, j] = metric_d(subs[i], subs[j], cfg)
     values = (ordered + ordered.T) / 2.0
     return PairwiseMatrix(
         values=values,
@@ -318,25 +312,20 @@ def inter_d(genome: EnsembleGenome, matrix: PairwiseMatrix) -> float:
 
 
 class EnsembleEvaluator:
-    """Memoizing objective evaluator bound to one (pool, metric, seed) triple.
+    """Objective evaluator bound to one (pool, metric, seed) triple.
 
     Everything that does not depend on the genome is computed once, at
-    construction. With ``cfg.standardize`` the real set and every
-    generator's rows are standardized once by the real set's mean and
-    scale, as ``metric_d`` standardizes a union. For density and coverage
-    the real set's k-NN radii are computed once and each generator's rows
-    run through its balls once, in draw order, to give the prefix counts and
-    first-hit ranks the module docstring describes; an evaluation is then
-    integer work over the members, independent of the dimension. For the
-    Frechet kind the real set's summary and covariance root are kept, and an
-    evaluation builds the union, summarizes it and takes one product and one
-    eigendecomposition. Either way the Intra-d value equals ``intra_d``'s
-    bit for bit.
-
-    The pairwise matrix is built lazily on first use. Results are cached by
-    genome bits; cached and uncached evaluations are identical, and
-    concurrent inserts of the same key are harmless because values are
-    deterministic.
+    construction. The real set and every generator's rows go into the real
+    set's frame (``real_frame``), as ``metric_d`` puts a union there. For
+    density and coverage the real set's k-NN radii are computed once and
+    each generator's rows run through its balls once, in draw order, to give
+    the prefix counts and first-hit ranks the module docstring describes; an
+    evaluation is then integer work over the members, independent of the
+    dimension. For the Frechet kind the real set's summary and covariance
+    root are kept, and an evaluation builds the union, summarizes it and
+    takes one product and one eigendecomposition. Either way the Intra-d
+    value equals ``intra_d``'s bit for bit. The pairwise matrix is built
+    lazily on first use.
     """
 
     def __init__(
@@ -346,24 +335,16 @@ class EnsembleEvaluator:
         seed: int = 0,
         total: int | None = None,
         sample_per_generator: int | None = None,
-        memoize: bool = True,
     ) -> None:
         self.pool = pool
         self.cfg = cfg if cfg is not None else MetricConfig()
         self.seed = int(seed)
         self.total = pool.real.rows if total is None else int(total)
         self.sample_per_generator = sample_per_generator
-        self.memoize = memoize
         self._ref = pool.ref
-        self._cache: dict[tuple[int, ...], ObjectiveVector] = {}
         self._matrix: PairwiseMatrix | None = None
-
-        self._prepare = lambda rows: rows
-        real = pool.real.data.astype(np.float64)
-        if self.cfg.standardize:
-            mean, scale = _standard_scale(real)
-            self._prepare = lambda rows: (rows - mean) / scale
-            real = self._prepare(real)
+        self._to_frame = real_frame(pool.real, self.cfg.standardize)
+        real = self._to_frame(pool.real)
         if self.cfg.kind is MetricKind.DENSITY_COVERAGE:
             radii = knn_radii(real, self.cfg.k)
             longest = max(dataset.rows for _, dataset in pool.members)
@@ -372,7 +353,7 @@ class EnsembleEvaluator:
             self._first = np.empty((pool.size, real.shape[0]), dtype=np.int64)
             for g, (record, dataset) in enumerate(pool.members):
                 order = _draw_order(dataset, self.seed, record.id)
-                rows = self._prepare(dataset.data[order].astype(np.float64))
+                rows = self._to_frame(dataset.data[order])
                 counts, self._first[g] = ball_hits(real, rows, self.cfg.k, radii)
                 np.cumsum(counts, out=self._prefix[g, 1 : dataset.rows + 1])
         else:
@@ -394,7 +375,7 @@ class EnsembleEvaluator:
         if self.cfg.kind is MetricKind.FRECHET:
             # evaluate has checked the genome; a ref-less copy skips the rehash.
             union = build_union(replace(genome, pool_ref=""), self.pool, self.total, self.seed)
-            summary = gaussian_summary(self._prepare(union.data.astype(np.float64)))
+            summary = gaussian_summary(self._to_frame(union))
             return frechet_distance(self._real_summary, summary, self._real_root)
         members, takes = np.array(_member_takes(genome, self.pool, self.total)).T
         hits = int(self._prefix[members, takes].sum())
@@ -403,22 +384,12 @@ class EnsembleEvaluator:
         return harmonic_d(dns, covered / self._first.shape[1])
 
     def evaluate(self, genome: EnsembleGenome) -> ObjectiveVector:
-        key = genome.bits
-        if self.memoize:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
         _check_pool(genome, self.pool, self._ref)
-        intra = self._intra(genome)
-        inter = inter_d(genome, self.matrix)
-        result = ObjectiveVector(
-            intra=float(intra),
-            inter=float(inter),
+        return ObjectiveVector(
+            intra=float(self._intra(genome)),
+            inter=float(inter_d(genome, self.matrix)),
             member_count=genome.member_count,
             metric=self.cfg,
         )
-        if self.memoize:
-            self._cache[key] = result
-        return result
 
     __call__ = evaluate

@@ -78,7 +78,6 @@ class GeneratorRecord:
     model_name: str
     iteration: int
     path: str
-    count: int = 0
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -201,7 +200,7 @@ def _read_csv(path: Path, source_id: str) -> EmbeddingSet:
     return EmbeddingSet(arr, source_id=source_id)
 
 
-def load_pool(manifest: str | Path, max_workers: int | None = None) -> Pool:
+def load_pool(manifest: str | Path) -> Pool:
     """Load a manifest and every embedding file it references.
 
     Returns the real set and the generator records with their sets, in
@@ -221,6 +220,9 @@ def load_pool(manifest: str | Path, max_workers: int | None = None) -> Pool:
     entries = doc["generators"]
     if not isinstance(entries, list) or not entries:
         raise DataError(f"manifest '{manifest_path}' lists no generators")
+    declared = doc.get("embedding_dim")
+    if declared is not None and type(declared) is not int:
+        raise DataError(f"manifest '{manifest_path}' has embedding_dim {declared!r}, not an integer")
 
     base = manifest_path.parent
     records = []
@@ -257,20 +259,17 @@ def load_pool(manifest: str | Path, max_workers: int | None = None) -> Pool:
 
     jobs = [("real", resolve(str(doc["real"])))]
     jobs += [(record.id, resolve(record.path)) for record in records]
-    with ThreadPoolExecutor(max_workers=worker_count(max_workers)) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         sets = list(pool.map(lambda job: read_embeddings(job[1], source_id=job[0]), jobs))
 
     real = sets[0]
-    declared = doc.get("embedding_dim")
-    if declared is not None and int(declared) != real.dim:
+    if declared is not None and declared != real.dim:
         raise DataError(
             f"manifest declares embedding_dim {declared} but 'real' has D={real.dim}"
         )
-    members = []
-    for record, es in zip(records, sets[1:]):
+    for es in sets[1:]:
         if es.dim != real.dim:
             raise DataError(
                 f"dimension mismatch: '{es.source_id}' has D={es.dim}, 'real' has D={real.dim}"
             )
-        members.append((GeneratorRecord(record.id, record.model_name, record.iteration, record.path, es.rows), es))
-    return Pool(real=real, members=tuple(members))
+    return Pool(real=real, members=tuple(zip(records, sets[1:])))

@@ -24,9 +24,9 @@ def seeded_stream(seed: int, tag: str, channel: int = 0) -> np.random.Generator:
     return np.random.default_rng((int(seed), digest, int(channel)))
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Effective worker count, capped by the GANENS_THREADS environment variable."""
-    workers = requested if requested is not None else (os.cpu_count() or 1)
+def worker_count() -> int:
+    """The CPU count, capped by the GANENS_THREADS environment variable."""
+    workers = os.cpu_count() or 1
     cap = os.environ.get("GANENS_THREADS")
     if cap is not None:
         try:

@@ -25,8 +25,16 @@ def make_pool(sets: dict[str, np.ndarray], real: np.ndarray) -> Pool:
     members = []
     for gid in sorted(sets):
         es = EmbeddingSet(sets[gid], source_id=gid)
-        members.append((GeneratorRecord(gid, gid, 0, f"{gid}.emb", es.rows), es))
+        members.append((GeneratorRecord(gid, gid, 0, f"{gid}.emb"), es))
     return Pool(real=EmbeddingSet(real, source_id="real"), members=tuple(members))
+
+
+def standardized_by_real(pool: Pool, sets: list[np.ndarray]) -> list[np.ndarray]:
+    """Each float64 set centred and scaled by the real set's columns; a zero deviation is 1."""
+    real = pool.real.data.astype(np.float64)
+    mean, scale = real.mean(axis=0), real.std(axis=0)
+    scale[scale == 0] = 1.0
+    return [(x - mean) / scale for x in sets]
 
 
 def four_modes(dim: int = 8, separation: float = 10.0) -> list[ModeSpec]:

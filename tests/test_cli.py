@@ -381,5 +381,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "malformed" in err and detail in err
 
+    @pytest.mark.parametrize("declared", ["abc", [1], 8.9], ids=["string", "list", "fraction"])
+    def test_non_integer_embedding_dim_is_data_error(self, small_manifest, tmp_path, capsys,
+                                                     declared):
+        doc = json.loads(small_manifest.read_text())
+        doc["embedding_dim"] = declared
+        manifest = small_manifest.parent / f"manifest-{type(declared).__name__}.json"
+        manifest.write_text(json.dumps(doc))
+        code = main(["pairwise", "--manifest", str(manifest), "--out", str(tmp_path)])
+        assert code == 2
+        assert "embedding_dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, detail",
+        [
+            ({"quotas": [80]}, "'quotas' must map ids to counts"),
+            ({"quotas": "s0"}, "'quotas' must map ids to counts"),
+            ({"chosen": ["s0", "nope"], "quotas": {"s0": 40, "nope": 40}},
+             "names generators not in the pool: ['nope']"),
+        ],
+        ids=["quotas-list", "quotas-string", "unknown-id"],
+    )
+    def test_bad_selection_is_data_error(self, small_manifest, tmp_path, capsys, change, detail):
+        doc = {
+            "chosen": ["s0"], "quotas": {"s0": 80}, "front_size": 1, "total": 80,
+            "objectives": {"intra": 0.5, "inter": 0.0, "member_count": 1},
+        }
+        doc.update(change)
+        path = tmp_path / "selection.json"
+        path.write_text(json.dumps(doc))
+        code = main(["quality", "--manifest", str(small_manifest), "--selection", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert detail in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pool
+from conftest import make_pool, standardized_by_real
 from ganens import (
     EmbeddingSet,
     GaussianSummary,
@@ -192,16 +192,18 @@ class TestReferenceEquality:
         assert np.array_equal(first, np.where(inside.any(axis=1), inside.argmax(axis=1), len(y)))
 
     @settings(max_examples=100)
-    @given(sets=ball_sets(), k_draw=st.integers(0, 100))
-    def test_pairwise_entries_equal_reference(self, sets, k_draw):
+    @given(sets=ball_sets(), k_draw=st.integers(0, 100), standardize=st.booleans())
+    def test_pairwise_entries_equal_reference(self, sets, k_draw, standardize):
         # Pool sets are float32, so the 1e-150 scale collapses them to
-        # duplicates; "c" repeats rows of both "a" and "b".
+        # duplicates (and zero deviations); "c" repeats rows of both "a" and "b".
         x, y = sets
         size = min(len(x), len(y))
         pool = make_pool({"a": x[:size], "b": y[:size], "c": np.vstack([x, y])[-size:]}, x)
         k = 1 + k_draw % (size - 1)
-        matrix = pairwise_matrix(pool, MetricConfig(k=k))
+        matrix = pairwise_matrix(pool, MetricConfig(k=k, standardize=standardize))
         subs = [es.data.astype(np.float64) for _, es in pool.members]
+        if standardize:
+            subs = standardized_by_real(pool, subs)
         for i in range(len(subs)):
             for j in range(i + 1, len(subs)):
                 forward = harmonic_d(*reference_density_coverage(subs[i], subs[j], k))

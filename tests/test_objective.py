@@ -22,7 +22,7 @@ from ganens import (
 )
 from ganens.objective import PairwiseMatrix
 
-from conftest import make_pool
+from conftest import make_pool, standardized_by_real
 
 
 def genome(bits, pool=None):
@@ -158,25 +158,29 @@ class TestPairwiseMatrix:
         # identical sets at k=1 compare at the self-metric value 4/3
         pool = self._pool()
         matrix = pairwise_matrix(pool, MetricConfig(k=1), seed=0)
-        assert matrix.entry(0, 1) == pytest.approx(4.0 / 3.0)
+        assert matrix.values[0, 1] == pytest.approx(4.0 / 3.0)
 
     def test_far_generator_zero_entries(self):
         pool = self._pool()
         matrix = pairwise_matrix(pool, MetricConfig(k=1), seed=0)
-        assert matrix.entry(0, 2) == 0.0
-        assert matrix.entry(1, 2) == 0.0
+        assert matrix.values[0, 2] == 0.0
+        assert matrix.values[1, 2] == 0.0
 
     def test_frechet_entries_average_both_orders(self):
         pool = self._pool()
-        matrix = pairwise_matrix(pool, MetricConfig(kind="fid"), seed=0)
-        summaries = [gaussian_summary(es) for _, es in pool.members]
-        for i in range(pool.size):
-            for j in range(pool.size):
-                want = 0.0 if i == j else (
-                    frechet_distance(summaries[i], summaries[j])
-                    + frechet_distance(summaries[j], summaries[i])
-                ) / 2.0
-                assert matrix.values[i, j] == want
+        for standardize in (False, True):
+            matrix = pairwise_matrix(pool, MetricConfig(kind="fid", standardize=standardize))
+            sets = [es.data.astype(np.float64) for _, es in pool.members]
+            if standardize:
+                sets = standardized_by_real(pool, sets)
+            summaries = [gaussian_summary(x) for x in sets]
+            for i in range(pool.size):
+                for j in range(pool.size):
+                    want = 0.0 if i == j else (
+                        frechet_distance(summaries[i], summaries[j])
+                        + frechet_distance(summaries[j], summaries[i])
+                    ) / 2.0
+                    assert matrix.values[i, j] == want
 
     def test_sample_sizes_recorded(self):
         pool = self._pool()
@@ -262,19 +266,14 @@ class TestEvaluator:
             real,
         )
 
-    def test_memoization_returns_cached_object(self):
+    def test_repeat_evaluations_are_equal(self):
         pool = self._pool()
-        evaluator = EnsembleEvaluator(pool, MetricConfig(k=2), seed=0)
-        first = evaluator.evaluate(genome((1, 0, 1), pool))
-        second = evaluator.evaluate(genome((1, 0, 1), pool))
-        assert first is second
-
-    def test_cache_transparency(self):
-        pool = self._pool()
-        cached = EnsembleEvaluator(pool, MetricConfig(k=2), seed=0)
-        uncached = EnsembleEvaluator(pool, MetricConfig(k=2), seed=0, memoize=False)
-        for bits in [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1)]:
-            assert cached.evaluate(genome(bits, pool)) == uncached.evaluate(genome(bits, pool))
+        for kind in ("dnc", "fid"):
+            evaluator = EnsembleEvaluator(pool, MetricConfig(kind=kind, k=2), seed=0)
+            for bits in [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1)]:
+                first = evaluator.evaluate(genome(bits, pool))
+                evaluator.evaluate(genome((1, 0, 1), pool))
+                assert evaluator.evaluate(genome(bits, pool)) == first
 
     def test_evaluate_bundles_components(self):
         pool = self._pool()

@@ -143,7 +143,7 @@ def test_load_pool_basic(tmp_path):
     real, members = pool
     assert real.dim == 16
     assert len(members) == 3
-    assert all(record.count == 4 for record, _ in members)
+    assert all(dataset.rows == 4 for _, dataset in members)
 
 
 def test_load_pool_dim_mismatch_names_both(tmp_path):
