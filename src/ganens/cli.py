@@ -311,6 +311,15 @@ def cmd_quality(manifest, selection, k, seed, include_all, out) -> None:
             raise DataError(
                 f"selection file '{selection}' names generators not in the pool: {unknown}"
             )
+        # quality_rows draws the union by quota_plan, so other quotas would be ignored.
+        chosen = set(selected.chosen)
+        genome = EnsembleGenome(tuple(int(gid in chosen) for gid in pool.ids))
+        plan = {pool.ids[i]: q for i, q in quota_plan(genome, selected.total)}
+        if selected.quotas != plan:
+            raise DataError(
+                f"selection file '{selection}' has quotas {selected.quotas}, but its chosen "
+                f"ids and total give {plan}"
+            )
     rows = quality_rows(pool, k=k, seed=seed, selection=selected, include_all=include_all)
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance(

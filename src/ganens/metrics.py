@@ -42,10 +42,13 @@ splits ERR into a part per reference row and a part per candidate row,
 and bounds row i by its own part plus the largest candidate part, so no
 N x M array of bounds is built.
 
-- A ball test ``d <= r`` is sure when ``|s^ - r^2| > ERR + 8 u r^2``: the
-  ``8 u r^2`` term covers the rounding of ``r^2`` and of ``sqrt``, so a
-  squared distance that far from ``r^2`` cannot round to the other side of
-  r. Entries inside this guard band are recomputed exactly.
+- A ball test ``d <= r`` takes two comparisons against the guard band
+  ``band = ERR + 8 u r^2``: the entry is inside when ``s^ < r^2 - band``
+  and outside when ``s^ > r^2 + band``. The ``8 u r^2`` term covers the
+  rounding of ``r^2`` and of ``sqrt``, so a squared distance that far from
+  ``r^2`` cannot round to the other side of r. When the two counts cover
+  the block, that is the whole test; otherwise the entries that are
+  neither, NaN included, are recomputed exactly.
 - A k-NN radius is the k-th smallest exact squared distance in its row,
   then ``sqrt`` (which keeps order). With H the k-th smallest estimate in
   the row, that value is at most H + ERR, so only entries whose estimate
@@ -55,10 +58,22 @@ N x M array of bounds is built.
 The bound assumes that no squared norm overflows, which float32 data (as
 ``EmbeddingSet`` stores it) cannot reach. A NaN estimate or bound always
 falls in the band and is recomputed.
+
+``mutual_density_coverage`` serves one row of a pairwise matrix: one
+reference set against all its candidate sets, in both argument orders. It
+builds the reference's rows ``[a, |a|^2, 1]`` once. The candidates are
+stacked in consecutive chunks of at most ``_CHUNK_ENTRIES`` right-hand
+entries (rows times D + 2; 2^16, or 512 KiB of float64), a set larger than
+that being a chunk by itself; each chunk is converted to float64 and built
+into rows ``[-2b, 1, |b|^2]`` once, and each pair multiplies views of them.
+The rows are the numbers a single pair would build, so every estimate,
+decision and recompute is the same. The cap keeps a chunk's copies small:
+without it, a chunk holds every later set at once, and the peak resident
+memory of ``optimize`` on a P=20, N=350, D=64 pool rises from 45 to 50 MB.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,6 +94,8 @@ _ERR_BASE = 32.0
 # Entries per block of the estimated distance matrix: a block and its few
 # temporaries stay within some megabytes whatever N is.
 _BLOCK_ENTRIES = 1 << 18
+# Right-hand entries per chunk of candidate sets stacked for one reference.
+_CHUNK_ENTRIES = _BLOCK_ENTRIES // 4
 
 
 class MetricKind(str, Enum):
@@ -190,32 +207,49 @@ def _exact_squared(x: np.ndarray, y: np.ndarray, rows: np.ndarray, cols: np.ndar
     return out
 
 
-def _estimate_blocks(x: np.ndarray, y: np.ndarray):
-    """Row blocks of estimated squared distances between x and y, with error bounds.
-
-    Yields ``(start, estimate, slack_x, slack_y)``: ``estimate`` covers the
-    rows x[start:start + len(slack_x)], and ``|estimate - s|`` is at most
-    ``slack_x[i] + slack_y[j]`` entry by entry, against the squared distance
-    s that ``pairwise_distances`` rounds to (module docstring).
-    """
-    n, dim = x.shape
-    centre = x.mean(axis=0)
-    # [a, |a|^2, 1] . [-2b, 1, |b|^2] = |a|^2 + |b|^2 - 2 a.b in one product.
-    left = np.empty((n, dim + 2), dtype=np.float64)
+def _left_rows(x: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``[a, |a|^2, 1]`` with a = x - centre, and each row's part of the error bound."""
+    dim = x.shape[1]
+    left = np.empty((x.shape[0], dim + 2), dtype=np.float64)
     np.subtract(x, centre, out=left[:, :dim])
     left[:, dim] = np.einsum("ij,ij->i", left[:, :dim], left[:, :dim])
     left[:, dim + 1] = 1.0
+    coef = _ERR_PER_DIM * dim + _ERR_BASE
+    return left, left[:, dim] * (coef * _UNIT_ROUNDOFF) + coef * _SMALLEST_SUBNORMAL
+
+
+def _right_rows(y: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``[-2b, 1, |b|^2]`` with b = y - centre, and each row's part of the error bound."""
+    dim = y.shape[1]
     right = np.empty((y.shape[0], dim + 2), dtype=np.float64)
     np.subtract(y, centre, out=right[:, :dim])
     right[:, dim + 1] = np.einsum("ij,ij->i", right[:, :dim], right[:, :dim])
     right[:, :dim] *= -2.0
     right[:, dim] = 1.0
     coef = _ERR_PER_DIM * dim + _ERR_BASE
-    slack_x = left[:, dim] * (coef * _UNIT_ROUNDOFF) + coef * _SMALLEST_SUBNORMAL
-    slack_y = right[:, dim + 1] * (coef * _UNIT_ROUNDOFF)
-    step = max(1, _BLOCK_ENTRIES // y.shape[0])
-    for start in range(0, n, step):
+    return right, right[:, dim + 1] * (coef * _UNIT_ROUNDOFF)
+
+
+def _estimate_blocks(
+    left: np.ndarray, slack_x: np.ndarray, right: np.ndarray, slack_y: np.ndarray
+):
+    """Row blocks of estimated squared distances between the rows behind ``left`` and ``right``.
+
+    ``[a, |a|^2, 1] . [-2b, 1, |b|^2] = |a|^2 + |b|^2 - 2 a.b`` in one
+    product. Yields ``(start, estimate, slack_x, slack_y)``: ``estimate``
+    covers the rows x[start:start + len(slack_x)], and ``|estimate - s|`` is
+    at most ``slack_x[i] + slack_y[j]`` entry by entry, against the squared
+    distance s that ``pairwise_distances`` rounds to (module docstring).
+    """
+    step = max(1, _BLOCK_ENTRIES // right.shape[0])
+    for start in range(0, left.shape[0], step):
         yield start, left[start : start + step] @ right.T, slack_x[start : start + step], slack_y
+
+
+def _pair_blocks(x: np.ndarray, y: np.ndarray):
+    """``_estimate_blocks`` between x and y, centred on the mean of x."""
+    centre = x.mean(axis=0)
+    return _estimate_blocks(*_left_rows(x, centre), *_right_rows(y, centre))
 
 
 def _unsure(sure: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,16 +270,18 @@ def _closed_ball(
 
     ``radius`` is a column (one per x row) or a row (one per y row), and
     ``slack`` bounds the estimate's error along that axis for every entry.
+    Entries whose estimate lies in the guard band, NaN included, are
+    recomputed; when none does, two comparisons decide the whole block.
     """
     squared = radius * radius
     band = slack + (8.0 * _UNIT_ROUNDOFF) * squared
-    inside = estimate <= squared
-    # Sure entries lie outside the guard band; NaN compares false and is recomputed.
-    sure = estimate < squared - band
-    sure |= estimate > squared + band
-    rows, cols = _unsure(sure)
-    exact = np.sqrt(_exact_squared(x, y, rows + start, cols))
-    inside[rows, cols] = exact <= np.broadcast_to(radius, estimate.shape)[rows, cols]
+    inside = estimate < squared - band
+    outside = estimate > squared + band
+    # NaN is neither inside nor outside, so it counts as unsure.
+    if np.count_nonzero(inside) + np.count_nonzero(outside) < estimate.size:
+        rows, cols = _unsure(outside | inside)
+        exact = np.sqrt(_exact_squared(x, y, rows + start, cols))
+        inside[rows, cols] = exact <= np.broadcast_to(radius, estimate.shape)[rows, cols]
     return inside
 
 
@@ -260,7 +296,7 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
     if k < 1 or k >= n:
         raise ParameterError(f"k must satisfy 1 <= k < N, got k={k} with N={n}")
     kth = np.empty(n, dtype=np.float64)
-    for start, estimate, slack_rows, slack_cols in _estimate_blocks(ref, ref):
+    for start, estimate, slack_rows, slack_cols in _pair_blocks(ref, ref):
         own = np.arange(estimate.shape[0])
         estimate[own, own + start] = np.inf
         # Within row i every entry errs by at most slack_i, so the k-th smallest
@@ -292,26 +328,53 @@ def _profile(ref: np.ndarray, k: int, radii: RadiusProfile | None) -> np.ndarray
     return radii.radii
 
 
+def _chunks(counts: list[int], width: int):
+    """Runs ``(lo, hi)`` of consecutive sets holding at most ``_CHUNK_ENTRIES`` entries together.
+
+    Set j holds ``counts[j] * width`` entries; a set larger than the cap is
+    a run by itself.
+    """
+    lo = entries = 0
+    for hi, count in enumerate(counts):
+        if hi > lo and entries + count * width > _CHUNK_ENTRIES:
+            yield lo, hi
+            lo, entries = hi, 0
+        entries += count * width
+    if lo < len(counts):
+        yield lo, len(counts)
+
+
 def _mutual_counts(
-    x: np.ndarray, y: np.ndarray, k: int, radii_x: np.ndarray, radii_y: np.ndarray | None
-) -> tuple[tuple[float, float], tuple[float, float] | None]:
-    """Density and coverage of y against x's balls and, given radii_y, of x against y's."""
+    x: np.ndarray,
+    left: np.ndarray,
+    slack_x: np.ndarray,
+    radius_x: np.ndarray,
+    y: np.ndarray,
+    right: np.ndarray,
+    slack_y: np.ndarray,
+    radius_y: np.ndarray,
+    k: int,
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Density and coverage of y against x's balls and of x against y's.
+
+    ``left``/``slack_x`` and ``right``/``slack_y`` are the rows and error
+    parts that ``_left_rows`` and ``_right_rows`` built for x and y.
+    """
     hits_x = covered_x = hits_y = 0
     covered_y = np.zeros(y.shape[0], dtype=bool)
-    for start, estimate, slack_x, slack_y in _estimate_blocks(x, y):
+    for start, estimate, block_x, block_y in _estimate_blocks(left, slack_x, right, slack_y):
         stop = start + estimate.shape[0]
-        slack = slack_x + slack_y.max()
-        inside = _closed_ball(x, y, start, estimate, radii_x[start:stop, None], slack[:, None])
+        slack = block_x + block_y.max()
+        inside = _closed_ball(x, y, start, estimate, radius_x[start:stop, None], slack[:, None])
         hits_x += int(np.count_nonzero(inside))
         covered_x += int(np.count_nonzero(inside.any(axis=1)))
-        if radii_y is not None:
-            inside = _closed_ball(x, y, start, estimate, radii_y, slack_y + slack_x.max())
-            hits_y += int(np.count_nonzero(inside))
-            covered_y |= inside.any(axis=0)
-    forward = (hits_x / (k * y.shape[0]), covered_x / x.shape[0])
-    if radii_y is None:
-        return forward, None
-    return forward, (hits_y / (k * x.shape[0]), int(np.count_nonzero(covered_y)) / y.shape[0])
+        inside = _closed_ball(x, y, start, estimate, radius_y, block_y + block_x.max())
+        hits_y += int(np.count_nonzero(inside))
+        covered_y |= inside.any(axis=0)
+    return (
+        (hits_x / (k * y.shape[0]), covered_x / x.shape[0]),
+        (hits_y / (k * x.shape[0]), int(np.count_nonzero(covered_y)) / y.shape[0]),
+    )
 
 
 def density_coverage(
@@ -328,24 +391,45 @@ def density_coverage(
     Pass a precomputed ``radii`` profile to skip the within-reference k-NN
     pass when evaluating many candidates against one reference.
     """
-    ref = _as_matrix(reference)
-    cand = _as_matrix(candidate)
-    _check_pair(ref, cand)
-    return _mutual_counts(ref, cand, k, _profile(ref, k, radii), None)[0]
+    counts, first = ball_hits(reference, candidate, k, radii)
+    m, n = counts.shape[0], first.shape[0]
+    return int(counts.sum()) / (k * m), int(np.count_nonzero(first < m)) / n
 
 
 def mutual_density_coverage(
-    a: EmbeddingSet | np.ndarray,
-    b: EmbeddingSet | np.ndarray,
+    reference: EmbeddingSet | np.ndarray,
+    candidates: Sequence[EmbeddingSet | np.ndarray],
     k: int,
-    radii_a: RadiusProfile | None = None,
-    radii_b: RadiusProfile | None = None,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """``(density_coverage(a, b, k), density_coverage(b, a, k))`` from one distance pass."""
-    x = _as_matrix(a)
-    y = _as_matrix(b)
-    _check_pair(x, y)
-    return _mutual_counts(x, y, k, _profile(x, k, radii_a), _profile(y, k, radii_b))
+    radii: RadiusProfile | None,
+    candidate_radii: Sequence[RadiusProfile | None],
+    to_frame: Callable[[EmbeddingSet | np.ndarray], np.ndarray],
+) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """``(density_coverage(x, y, k), density_coverage(y, x, k))`` for each candidate y.
+
+    x is ``to_frame(reference)`` and each y is ``to_frame`` of a candidate
+    (``real_frame`` gives the map); ``radii`` and ``candidate_radii`` are
+    their profiles in that frame. The rows of x are built once. The
+    candidates go through ``to_frame`` and into their rows a chunk at a time
+    (module docstring), and each pair reads views of its chunk.
+    """
+    x = to_frame(reference)
+    radius_x = _profile(x, k, radii)
+    centre = x.mean(axis=0)
+    left, slack_x = _left_rows(x, centre)
+    parts = [c.data if isinstance(c, EmbeddingSet) else np.asarray(c) for c in candidates]
+    for part in parts:
+        _check_pair(x, part)
+    results = []
+    for lo, hi in _chunks([part.shape[0] for part in parts], x.shape[1] + 2):
+        stacked = to_frame(np.concatenate(parts[lo:hi]) if hi - lo > 1 else parts[lo])
+        right, slack_y = _right_rows(stacked, centre)
+        stop = 0
+        for j in range(lo, hi):
+            start, stop = stop, stop + parts[j].shape[0]
+            y = stacked[start:stop]
+            y_rows = right[start:stop], slack_y[start:stop], _profile(y, k, candidate_radii[j])
+            results.append(_mutual_counts(x, left, slack_x, radius_x, y, *y_rows, k))
+    return results
 
 
 def ball_hits(
@@ -370,7 +454,7 @@ def ball_hits(
     m = cand.shape[0]
     counts = np.zeros(m, dtype=np.int64)
     first = np.empty(ref.shape[0], dtype=np.int64)
-    for start, estimate, slack_x, slack_y in _estimate_blocks(ref, cand):
+    for start, estimate, slack_x, slack_y in _pair_blocks(ref, cand):
         stop = start + estimate.shape[0]
         slack = slack_x + slack_y.max()
         inside = _closed_ball(ref, cand, start, estimate, radius[start:stop, None], slack[:, None])

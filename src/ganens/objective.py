@@ -251,6 +251,12 @@ def pairwise_matrix(
     the work. Every subsample is compared in the real set's frame
     (``real_frame``), as Intra-d is. The default subsample size is the
     smallest generator size, capped at the real-set size.
+
+    For density and coverage, each subsample's k-NN radii are computed
+    once, and row i of the matrix is one ``mutual_density_coverage`` call:
+    subsample i's estimate rows are built once, the later subsamples enter
+    the frame and their rows a memory-capped chunk at a time, and every ball
+    decision is exact (``metrics`` module docstring).
     """
     n = pool.size
     if sample_per_generator is None:
@@ -271,11 +277,10 @@ def pairwise_matrix(
         # One cross-distance pass serves both argument orders.
         profiles = [knn_radii(to_frame(s), cfg.k) for s in subs]
         for i in range(n):
-            x = to_frame(subs[i])
-            for j in range(i + 1, n):
-                forward, backward = mutual_density_coverage(
-                    x, to_frame(subs[j]), cfg.k, profiles[i], profiles[j]
-                )
+            row = mutual_density_coverage(
+                subs[i], subs[i + 1 :], cfg.k, profiles[i], profiles[i + 1 :], to_frame
+            )
+            for j, (forward, backward) in enumerate(row, start=i + 1):
                 ordered[i, j], ordered[j, i] = harmonic_d(*forward), harmonic_d(*backward)
     else:
         # Row by row, so only one covariance root is held at a time.

@@ -399,8 +399,14 @@ class TestExitCodes:
             ({"quotas": "s0"}, "'quotas' must map ids to counts"),
             ({"chosen": ["s0", "nope"], "quotas": {"s0": 40, "nope": 40}},
              "names generators not in the pool: ['nope']"),
+            ({"quotas": {"s1": 80}},
+             "has quotas {'s1': 80}, but its chosen ids and total give {'s0': 80}"),
+            ({"chosen": ["s0", "s2"], "quotas": {"s0": 79, "s2": 1}},
+             "has quotas {'s0': 79, 's2': 1}, but its chosen ids and total give "
+             "{'s0': 40, 's2': 40}"),
         ],
-        ids=["quotas-list", "quotas-string", "unknown-id"],
+        ids=["quotas-list", "quotas-string", "unknown-id", "quotas-other-ids",
+             "quotas-other-counts"],
     )
     def test_bad_selection_is_data_error(self, small_manifest, tmp_path, capsys, change, detail):
         doc = {

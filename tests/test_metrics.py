@@ -25,7 +25,8 @@ from ganens import (
     pairwise_distances,
     pairwise_matrix,
 )
-from ganens.metrics import _exact_squared
+import ganens.metrics
+from ganens.metrics import _UNIT_ROUNDOFF, _closed_ball, _exact_squared
 
 
 def brute_force_density_coverage(ref, cand, k):
@@ -146,6 +147,26 @@ def reference_density_coverage(ref, cand, k):
     return float(inside.sum()) / (k * cand.shape[0]), float(inside.any(axis=1).mean())
 
 
+def grid_or_normal_rows(rng, kind, count, dim):
+    """Rows on the integer grid, normal rows rounded to float32, or plain normal rows."""
+    if kind == "grid":
+        return rng.integers(-2, 3, size=(count, dim)).astype(np.float64)
+    values = rng.standard_normal((count, dim))
+    return values.astype(np.float32).astype(np.float64) if kind == "float32" else values
+
+
+def assert_entries_equal_reference(matrix, pool, k, standardize):
+    """Every entry of a dnc pairwise matrix over whole sets is the reference's mean of both orders."""
+    subs = [es.data.astype(np.float64) for _, es in pool.members]
+    if standardize:
+        subs = standardized_by_real(pool, subs)
+    for i in range(len(subs)):
+        for j in range(i + 1, len(subs)):
+            forward = harmonic_d(*reference_density_coverage(subs[i], subs[j], k))
+            backward = harmonic_d(*reference_density_coverage(subs[j], subs[i], k))
+            assert matrix.values[i, j] == (forward + backward) / 2.0
+
+
 @st.composite
 def ball_sets(draw, max_rows=14):
     """Two point sets meant to put ball decisions on and near their thresholds.
@@ -163,17 +184,33 @@ def ball_sets(draw, max_rows=14):
     scale = draw(st.sampled_from([1.0, 1e-150]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def rows(count):
-        if kind == "grid":
-            return rng.integers(-2, 3, size=(count, dim)).astype(np.float64)
-        values = rng.standard_normal((count, dim))
-        return values.astype(np.float32).astype(np.float64) if kind == "float32" else values
-
-    x, y = rows(n), rows(m)
+    x, y = (grid_or_normal_rows(rng, kind, count, dim) for count in (n, m))
     if draw(st.booleans()):
         x[: n // 2] = x[rng.integers(0, n, n // 2)]
         y[: m // 2] = x[rng.integers(0, n, m // 2)]
     return (x + offset) * scale, (y + offset) * scale
+
+
+@st.composite
+def pool_sets(draw):
+    """A real set and 3 to 7 generator sets of their own row counts, one dimension.
+
+    Rows are drawn as in ``ball_sets``; with duplicates on, each set repeats
+    rows of the real set, so ball decisions sit on their thresholds.
+    """
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["grid", "float32", "normal"]))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    scale = draw(st.sampled_from([1.0, 1e-150]))
+    duplicates = draw(st.booleans())
+    counts = draw(st.lists(st.integers(2, 12), min_size=4, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    real, *generators = [grid_or_normal_rows(rng, kind, count, dim) for count in counts]
+    if duplicates:
+        for g in generators:
+            g[: len(g) // 2] = real[rng.integers(0, len(real), len(g) // 2)]
+    return (real + offset) * scale, [(g + offset) * scale for g in generators]
 
 
 class TestReferenceEquality:
@@ -201,14 +238,50 @@ class TestReferenceEquality:
         pool = make_pool({"a": x[:size], "b": y[:size], "c": np.vstack([x, y])[-size:]}, x)
         k = 1 + k_draw % (size - 1)
         matrix = pairwise_matrix(pool, MetricConfig(k=k, standardize=standardize))
-        subs = [es.data.astype(np.float64) for _, es in pool.members]
-        if standardize:
-            subs = standardized_by_real(pool, subs)
-        for i in range(len(subs)):
-            for j in range(i + 1, len(subs)):
-                forward = harmonic_d(*reference_density_coverage(subs[i], subs[j], k))
-                backward = harmonic_d(*reference_density_coverage(subs[j], subs[i], k))
-                assert matrix.values[i, j] == (forward + backward) / 2.0
+        assert_entries_equal_reference(matrix, pool, k, standardize)
+
+    @settings(max_examples=150)
+    @given(
+        sets=pool_sets(),
+        k_draw=st.integers(0, 100),
+        standardize=st.booleans(),
+        cap_rows=st.integers(0, 90),
+    )
+    def test_chunked_rows_equal_reference(self, sets, k_draw, standardize, cap_rows):
+        # A cap of cap_rows rows splits a matrix row's candidates into chunks
+        # of one set, of several sets, or leaves a set larger than the cap.
+        real, generators = sets
+        pool = make_pool({f"g{i}": g for i, g in enumerate(generators)}, real)
+        k = 1 + k_draw % (min(len(g) for g in generators) - 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ganens.metrics, "_CHUNK_ENTRIES", cap_rows * (real.shape[1] + 2))
+            # A sample as large as the largest set keeps every set whole.
+            matrix = pairwise_matrix(
+                pool,
+                MetricConfig(k=k, standardize=standardize),
+                sample_per_generator=max(len(g) for g in generators),
+            )
+        assert_entries_equal_reference(matrix, pool, k, standardize)
+
+    @pytest.mark.parametrize("axis", ["column", "row"])
+    def test_closed_ball_recomputes_nan_and_band_edges(self, axis):
+        # Radius 1 everywhere; row 0 holds y0 and row 1 holds y2, nothing else.
+        x = np.array([[0.0], [10.0]])
+        y = np.array([[0.5], [2.0], [10.25], [13.0]])
+        shape = (2, 1) if axis == "column" else (4,)
+        radius, slack = np.ones(shape), np.full(shape, 0.01)
+        exact = pairwise_distances(x, y) <= radius
+        assert exact.tolist() == [[True, False, False, False], [False, False, True, False]]
+        sure = pairwise_distances(x, y) ** 2
+        band = 0.01 + 8.0 * _UNIT_ROUNDOFF
+        # One unsure entry at a time: a block one entry short of sure must
+        # still be recomputed, inside or outside the ball.
+        for value in (np.nan, 1.0 - band, 1.0 + band):
+            for entry in ((0, 0), (1, 2), (0, 1), (1, 3)):
+                estimate = sure.copy()
+                estimate[entry] = value
+                inside = _closed_ball(x, y, 0, estimate, radius, slack)
+                assert np.array_equal(inside, exact), (value, entry)
 
     def test_band_recompute_sums_in_reference_order(self):
         # Magnitudes spread over 16 decades make the rounded sum depend on
