@@ -311,6 +311,8 @@ def cmd_quality(manifest, selection, k, seed, include_all, out) -> None:
             raise DataError(
                 f"selection file '{selection}' names generators not in the pool: {unknown}"
             )
+        if len(set(selected.chosen)) != len(selected.chosen):
+            raise DataError(f"selection file '{selection}' names a generator twice in 'chosen'")
         # quality_rows draws the union by quota_plan, so other quotas would be ignored.
         chosen = set(selected.chosen)
         genome = EnsembleGenome(tuple(int(gid in chosen) for gid in pool.ids))

@@ -5,9 +5,14 @@ around every reference point and count which candidate points fall inside
 them (higher is better); their harmonic combination ``2*dns*cvg/(dns+cvg)``
 is the default scalar metric. The Frechet distance compares Gaussian moment
 summaries of the two sets (lower is better) and serves as the alternative
-metric for ablations. ``covariance_root`` gives the square root of one
-summary's covariance, which ``frechet_distance`` accepts precomputed, so a
-caller comparing one summary against many eigendecomposes it only once.
+metric for ablations. Its trace term ``Tr (S_a S_b)^(1/2)`` needs only the
+eigenvalues of the symmetric product ``S_a^(1/2) S_b S_a^(1/2)``, those
+below ``EIGENVALUE_CLAMP`` taken as zero, so ``frechet_distance`` takes them
+alone (``eigvalsh``: no eigenvectors are formed). S_a S_b and S_b S_a have
+the same spectrum, so the term is the same for both argument orders up to
+rounding. ``covariance_root`` gives S_a^(1/2), which needs the eigenvectors
+of S_a; ``frechet_distance`` accepts it precomputed, so a caller comparing
+one summary against many decomposes S_a only once.
 
 All ball-membership tests use closed balls (distance <= radius), so a set
 compared against itself always attains coverage 1 even when it contains
@@ -496,9 +501,15 @@ def gaussian_summary(dataset: EmbeddingSet | np.ndarray) -> GaussianSummary:
     return GaussianSummary(mean=mean, covariance=cov)
 
 
-def _clamped_eigh(matrix: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
+def _clamped_eigh(
+    matrix: np.ndarray, context: str, with_vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues below ``EIGENVALUE_CLAMP`` set to zero, and the eigenvectors if asked for."""
     try:
-        values, vectors = np.linalg.eigh(matrix)
+        if with_vectors:
+            values, vectors = np.linalg.eigh(matrix)
+        else:
+            values, vectors = np.linalg.eigvalsh(matrix), None
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed for {context}: {exc}") from exc
     if not np.isfinite(values).all():
@@ -522,12 +533,14 @@ def frechet_distance(
 ) -> float:
     """Frechet distance between two Gaussian summaries.
 
-    ||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^(1/2)), with the matrix
-    square root evaluated through the eigendecomposition of the symmetrized
-    product S_a^(1/2) S_b S_a^(1/2). Small eigenvalues are clamped to zero
-    and the result is clamped to be nonnegative. Pass ``root_a``, the
-    ``covariance_root`` of ``a``, to skip its eigendecomposition when
-    comparing one summary against many; the result is the same.
+    ||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^(1/2)), with the trace
+    term the sum of the square roots of the eigenvalues of the symmetrized
+    product S_a^(1/2) S_b S_a^(1/2), taken without eigenvectors.
+    Eigenvalues below ``EIGENVALUE_CLAMP`` are clamped to zero and the
+    result is clamped to be nonnegative. Swapping the arguments changes the
+    value only by rounding. Pass ``root_a``, the ``covariance_root`` of
+    ``a``, to skip its eigendecomposition when comparing one summary against
+    many; the result is the same.
     """
     if a.dim != b.dim:
         raise ParameterError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -539,7 +552,7 @@ def frechet_distance(
         )
     product = root_a @ b.covariance @ root_a
     product = (product + product.T) / 2.0
-    vals_p, _ = _clamped_eigh(product, "covariance product")
+    vals_p, _ = _clamped_eigh(product, "covariance product", with_vectors=False)
     diff = a.mean - b.mean
     value = (
         float(diff @ diff)

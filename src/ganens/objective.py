@@ -246,17 +246,22 @@ def pairwise_matrix(
 ) -> PairwiseMatrix:
     """Symmetric matrix of pairwise metric values between generator sets.
 
-    Entry (i, j) averages both argument orders of the metric over seeded
-    subsamples, which reproduces the ordered-pair mean exactly while halving
-    the work. Every subsample is compared in the real set's frame
-    (``real_frame``), as Intra-d is. The default subsample size is the
-    smallest generator size, capped at the real-set size.
+    Entry (i, j) compares seeded subsamples of generators i and j, each in
+    the real set's frame (``real_frame``), as Intra-d is. The default
+    subsample size is the smallest generator size, capped at the real-set
+    size. Each unordered pair is computed once and written to both entries.
 
-    For density and coverage, each subsample's k-NN radii are computed
-    once, and row i of the matrix is one ``mutual_density_coverage`` call:
-    subsample i's estimate rows are built once, the later subsamples enter
-    the frame and their rows a memory-capped chunk at a time, and every ball
-    decision is exact (``metrics`` module docstring).
+    Density and coverage are asymmetric, so a dnc entry averages both
+    argument orders. Each subsample's k-NN radii are computed once, and row i
+    of the matrix is one ``mutual_density_coverage`` call, which serves both
+    orders: subsample i's estimate rows are built once, the later subsamples
+    enter the frame and their rows a memory-capped chunk at a time, and
+    every ball decision is exact (``metrics`` module docstring).
+
+    The Frechet distance is symmetric up to rounding (S_a S_b and S_b S_a
+    have the same spectrum), so a fid entry is the one value
+    ``frechet_distance(summary_i, summary_j)`` for i < j, with subsample i's
+    covariance root computed once per row.
     """
     n = pool.size
     if sample_per_generator is None:
@@ -267,30 +272,26 @@ def pairwise_matrix(
         subsample_rows(es, min(sample_per_generator, es.rows), seed, record.id)
         for record, es in pool.members
     ]
-    # ordered[i, j] is the metric with subs[i] as reference and subs[j] as
-    # candidate; entry (i, j) averages it with ordered[j, i].
-    ordered = np.zeros((n, n), dtype=np.float64)
+    values = np.zeros((n, n), dtype=np.float64)
     # Sets enter the frame where they are used, so no float64 copy of the
     # whole pool is alive at once.
     to_frame = real_frame(pool.real, cfg.standardize)
     if cfg.kind is MetricKind.DENSITY_COVERAGE:
-        # One cross-distance pass serves both argument orders.
         profiles = [knn_radii(to_frame(s), cfg.k) for s in subs]
         for i in range(n):
             row = mutual_density_coverage(
                 subs[i], subs[i + 1 :], cfg.k, profiles[i], profiles[i + 1 :], to_frame
             )
             for j, (forward, backward) in enumerate(row, start=i + 1):
-                ordered[i, j], ordered[j, i] = harmonic_d(*forward), harmonic_d(*backward)
+                values[i, j] = values[j, i] = (harmonic_d(*forward) + harmonic_d(*backward)) / 2.0
     else:
-        # Row by row, so only one covariance root is held at a time.
+        # Row by row, so only one covariance root is held at a time; the last
+        # row has no later column and needs none.
         summaries = [gaussian_summary(to_frame(s)) for s in subs]
-        for i in range(n):
+        for i in range(n - 1):
             root = covariance_root(summaries[i])
-            for j in range(n):
-                if j != i:
-                    ordered[i, j] = frechet_distance(summaries[i], summaries[j], root)
-    values = (ordered + ordered.T) / 2.0
+            for j in range(i + 1, n):
+                values[i, j] = values[j, i] = frechet_distance(summaries[i], summaries[j], root)
     return PairwiseMatrix(
         values=values,
         ids=pool.ids,
@@ -328,9 +329,9 @@ class EnsembleEvaluator:
     evaluation is then integer work over the members, independent of the
     dimension. For the Frechet kind the real set's summary and covariance
     root are kept, and an evaluation builds the union, summarizes it and
-    takes one product and one eigendecomposition. Either way the Intra-d
-    value equals ``intra_d``'s bit for bit. The pairwise matrix is built
-    lazily on first use.
+    takes the eigenvalues only (no eigenvectors) of one covariance product.
+    Either way the Intra-d value equals ``intra_d``'s bit for bit. The
+    pairwise matrix is built lazily on first use.
     """
 
     def __init__(

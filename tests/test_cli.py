@@ -78,6 +78,39 @@ class TestPairwise:
         assert entry <= 1e-4
 
 
+class TestRankDeficientFrechet:
+    """N=12 rows in D=20: every covariance is singular, as N=1000 < D=2048 makes them in the paper."""
+
+    @pytest.fixture(scope="class")
+    def wide_manifest(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("cli_wide")
+        profiles = [GeneratorProfile(f"w{i}", (i, (i + 1) % 4), samples=12) for i in range(4)]
+        return emit_pool(four_modes(dim=20), 12, profiles, out, seed=6)
+
+    def test_pairwise_symmetric_and_finite(self, wide_manifest, tmp_path):
+        code = main(["pairwise", "--manifest", str(wide_manifest), "--metric", "fid",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "pairwise.csv").read_text().strip().split("\n")
+        matrix = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+        assert matrix.shape == (4, 4)
+        assert np.isfinite(matrix).all()
+        assert np.array_equal(matrix, matrix.T)
+        assert np.array_equal(np.diag(matrix), np.zeros(4))
+        assert (matrix[~np.eye(4, dtype=bool)] > 0).all()
+
+    def test_exhaustive_optimize_finite(self, wide_manifest, tmp_path):
+        code = main(["optimize", "--manifest", str(wide_manifest), "--metric", "fid",
+                     "--algo", "exhaustive", "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "scatter.csv").read_text().strip().split("\n")
+        rows = np.array([[float(v) for v in line.split(",")[:2]] for line in lines[1:]])
+        assert rows.shape == (15, 2)
+        assert np.isfinite(rows).all()
+        front = json.loads((tmp_path / "front.json").read_text())["front"]
+        assert front and all(np.isfinite([e["intra"], e["inter"]]).all() for e in front)
+
+
 class TestOptimize:
     def test_exhaustive_matches_fixture_ground_truth(self, fixture_manifest, tmp_path):
         code = main(
@@ -404,9 +437,10 @@ class TestExitCodes:
             ({"chosen": ["s0", "s2"], "quotas": {"s0": 79, "s2": 1}},
              "has quotas {'s0': 79, 's2': 1}, but its chosen ids and total give "
              "{'s0': 40, 's2': 40}"),
+            ({"chosen": ["s0", "s0"]}, "names a generator twice in 'chosen'"),
         ],
         ids=["quotas-list", "quotas-string", "unknown-id", "quotas-other-ids",
-             "quotas-other-counts"],
+             "quotas-other-counts", "repeated-id"],
     )
     def test_bad_selection_is_data_error(self, small_manifest, tmp_path, capsys, change, detail):
         doc = {

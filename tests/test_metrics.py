@@ -26,7 +26,7 @@ from ganens import (
     pairwise_matrix,
 )
 import ganens.metrics
-from ganens.metrics import _UNIT_ROUNDOFF, _closed_ball, _exact_squared
+from ganens.metrics import EIGENVALUE_CLAMP, _UNIT_ROUNDOFF, _closed_ball, _exact_squared
 
 
 def brute_force_density_coverage(ref, cand, k):
@@ -339,6 +339,30 @@ class TestGaussianSummary:
         assert np.array_equal(summary.covariance, summary.covariance.T)
 
 
+def eigh_route_frechet(a, b):
+    """The Frechet distance with the full ``eigh`` of both S_a and the product.
+
+    Returns the distance and the symmetrized product it decomposed.
+    """
+
+    def clamped(matrix):
+        values, vectors = np.linalg.eigh(matrix)
+        return np.where(values < EIGENVALUE_CLAMP, 0.0, values), vectors
+
+    values, vectors = clamped(a.covariance)
+    root = (vectors * np.sqrt(values)) @ vectors.T
+    product = root @ b.covariance @ root
+    product = (product + product.T) / 2.0
+    diff = a.mean - b.mean
+    value = (
+        float(diff @ diff)
+        + float(np.trace(a.covariance))
+        + float(np.trace(b.covariance))
+        - 2.0 * float(np.sqrt(clamped(product)[0]).sum())
+    )
+    return max(0.0, value), product
+
+
 class TestFrechet:
     def test_scalar_mean_shift(self):
         a = GaussianSummary(np.array([0.0]), np.array([[1.0]]))
@@ -383,6 +407,73 @@ class TestFrechet:
         a = GaussianSummary(np.zeros(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(NumericError):
             frechet_distance(a, a)
+
+    def test_non_finite_product_raises_numeric(self):
+        # A finite first summary, so the NaN reaches the product's eigenvalues.
+        a = gaussian_summary(np.random.default_rng(14).standard_normal((10, 3)))
+        b = GaussianSummary(np.zeros(3), np.full((3, 3), np.nan))
+        with pytest.raises(NumericError, match="covariance product"):
+            frechet_distance(a, b)
+        with pytest.raises(NumericError, match="covariance product"):
+            frechet_distance(a, b, covariance_root(a))
+
+    def test_failed_eigenvalues_raise_numeric(self, monkeypatch):
+        a = gaussian_summary(np.random.default_rng(15).standard_normal((10, 3)))
+        root = covariance_root(a)
+
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericError, match="eigendecomposition failed"):
+            frechet_distance(a, a, root)
+
+    def test_scaled_covariance_closed_form(self):
+        # S_b = c^2 S_a gives Tr (S_a S_b)^(1/2) = c Tr S_a, so the distance is
+        # |mu_a - mu_b|^2 + (1 - c)^2 Tr S_a.
+        rng = np.random.default_rng(13)
+        a = gaussian_summary(rng.standard_normal((40, 6)) * rng.uniform(0.5, 2, 6))
+        shift = rng.normal(size=6)
+        trace = float(np.trace(a.covariance))
+        for c in (0.25, 1.0, 3.0):
+            b = GaussianSummary(a.mean + shift, c * c * a.covariance)
+            want = float(shift @ shift) + (1.0 - c) ** 2 * trace
+            assert frechet_distance(a, b) == pytest.approx(want, rel=1e-12)
+
+    def test_commuting_diagonal_closed_form(self):
+        # Diagonal covariances commute: Tr (S_a S_b)^(1/2) = sum sqrt(a_i b_i).
+        rng = np.random.default_rng(16)
+        var_a, var_b = rng.uniform(0.1, 5.0, 8), rng.uniform(0.1, 5.0, 8)
+        var_b[:2] = 0.0  # zero eigenvalues of the product, clamped to 0
+        mean_a, mean_b = rng.normal(size=8), rng.normal(size=8)
+        a = GaussianSummary(mean_a, np.diag(var_a))
+        b = GaussianSummary(mean_b, np.diag(var_b))
+        want = float((mean_a - mean_b) @ (mean_a - mean_b)) + float(
+            var_a.sum() + var_b.sum() - 2.0 * np.sqrt(var_a * var_b).sum()
+        )
+        assert frechet_distance(a, b) == pytest.approx(want, rel=1e-12)
+        assert frechet_distance(b, a) == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_eigenvalues_only_equal_eigh_route(self, data):
+        # Full-rank summaries (N > D) and rank-deficient ones (N <= D), whose
+        # product has zero eigenvalues that round to either side of 0.
+        dim = data.draw(st.integers(2, 10))
+        deficient = data.draw(st.booleans())
+        rows = st.integers(2, dim) if deficient else st.integers(dim + 1, dim + 15)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def summary(n):
+            scale, shift = rng.uniform(0.1, 10.0, dim), rng.normal(0.0, 3.0, dim)
+            return gaussian_summary(rng.standard_normal((n, dim)) * scale + shift)
+
+        a, b = summary(data.draw(rows)), summary(data.draw(rows))
+        want, product = eigh_route_frechet(a, b)
+        if deficient:
+            assert np.linalg.eigvalsh(product).min() < EIGENVALUE_CLAMP
+        for got in (frechet_distance(a, b), frechet_distance(a, b, covariance_root(a))):
+            assert abs(got - want) <= 1e-10 * want
 
 
 class TestMetricD:

@@ -166,21 +166,30 @@ class TestPairwiseMatrix:
         assert matrix.values[0, 2] == 0.0
         assert matrix.values[1, 2] == 0.0
 
-    def test_frechet_entries_average_both_orders(self):
-        pool = self._pool()
+    def test_frechet_entries_take_one_order(self):
+        # Four sets with unequal scales and shifts: the two argument orders of
+        # frechet_distance differ in their last bits on most pairs, so the
+        # entries show which order was taken.
+        rng = np.random.default_rng(7)
+        sets = {
+            f"g{i}": rng.normal(size=(30, 6)) * rng.uniform(0.5, 3, 6) + rng.normal(0, 2, 6)
+            for i in range(4)
+        }
+        pool = make_pool(sets, rng.normal(size=(30, 6)))
         for standardize in (False, True):
             matrix = pairwise_matrix(pool, MetricConfig(kind="fid", standardize=standardize))
             sets = [es.data.astype(np.float64) for _, es in pool.members]
             if standardize:
                 sets = standardized_by_real(pool, sets)
             summaries = [gaussian_summary(x) for x in sets]
+            swapped = 0
             for i in range(pool.size):
-                for j in range(pool.size):
-                    want = 0.0 if i == j else (
-                        frechet_distance(summaries[i], summaries[j])
-                        + frechet_distance(summaries[j], summaries[i])
-                    ) / 2.0
-                    assert matrix.values[i, j] == want
+                assert matrix.values[i, i] == 0.0
+                for j in range(i + 1, pool.size):
+                    want = frechet_distance(summaries[i], summaries[j])
+                    assert matrix.values[i, j] == matrix.values[j, i] == want
+                    swapped += want != frechet_distance(summaries[j], summaries[i])
+            assert swapped > 0
 
     def test_sample_sizes_recorded(self):
         pool = self._pool()
