@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 data/validation, 3 numeric failure.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import click
 
 from . import __version__
 from .errors import DataError, GanensError, NumericError, ParameterError
-from .metrics import MetricConfig
+from .metrics import MetricConfig, Orientation
 from .objective import (
     EnsembleEvaluator,
     EnsembleGenome,
@@ -26,18 +27,39 @@ from .objective import (
 from .optimize import SearchConfig, SelectionManifest, search, select_best, selection_manifest
 from .report import compute_gap, quality_rows
 from .simulate import emit_pool, load_profile_spec
-from .store import Pool, load_pool, write_embeddings
+from .store import Pool, json_int, load_pool, read_json, write_embeddings
 
 _METRIC_CHOICES = click.Choice(["dnc", "fid"])
 _ALGO_CHOICES = click.Choice(["exhaustive", "random", "nsga2"])
 
 
+# The search flags of optimize and select, declared once, in the order that
+# provenance records them whatever their order on the command line.
+_SEARCH_OPTIONS = {
+    "metric": dict(type=_METRIC_CHOICES, default="dnc", show_default=True),
+    "k": dict(type=click.IntRange(min=1), default=5, show_default=True),
+    "standardize": dict(is_flag=True, default=False),
+    "algo": dict(type=_ALGO_CHOICES, default="nsga2", show_default=True),
+    "budget": dict(type=click.IntRange(min=1), default=1000, show_default=True),
+    "population": dict(type=click.IntRange(min=2), default=50, show_default=True),
+    "crossover": dict(type=click.FloatRange(0, 1), default=0.9, show_default=True),
+    "mutation": dict(type=click.FloatRange(0, 1), default=None, help="Default 1/|pool|."),
+    "seed": dict(type=click.IntRange(min=0), default=0, show_default=True),
+    "sample": dict(type=click.IntRange(min=1), default=None,
+                   help="Rows per generator for the pairwise matrix."),
+    "total": dict(type=click.IntRange(min=1), default=None,
+                  help="Union size; default is the real-set size."),
+}
+
+
+def _search_options(command):
+    for name, attrs in reversed(_SEARCH_OPTIONS.items()):
+        command = click.option(f"--{name}", **attrs)(command)
+    return command
+
+
 def _provenance(command: str, **flags) -> dict:
     return {"tool": "ganens", "version": __version__, "command": command, "flags": flags}
-
-
-def _metric_config(metric: str, k: int, standardize: bool) -> MetricConfig:
-    return MetricConfig(kind=metric, k=k, standardize=standardize)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -73,7 +95,7 @@ def cmd_toy(spec: Path, out: Path, seed: int | None) -> None:
 def cmd_pairwise(manifest, metric, k, standardize, seed, sample, out) -> None:
     """Compute the symmetric pairwise metric matrix over the pool."""
     pool = load_pool(manifest)
-    cfg = _metric_config(metric, k, standardize)
+    cfg = MetricConfig(kind=metric, k=k, standardize=standardize)
     matrix = pairwise_matrix(pool, cfg, sample_per_generator=sample, seed=seed)
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance(
@@ -87,7 +109,7 @@ def cmd_pairwise(manifest, metric, k, standardize, seed, sample, out) -> None:
 
 def _run_search(pool, metric, k, standardize, algo, budget, population, crossover,
                 mutation, seed, sample, total):
-    cfg = _metric_config(metric, k, standardize)
+    cfg = MetricConfig(kind=metric, k=k, standardize=standardize)
     evaluator = EnsembleEvaluator(
         pool, cfg, seed=seed, total=total, sample_per_generator=sample
     )
@@ -128,31 +150,14 @@ def _scatter_lines(result) -> list[str]:
 
 @cli.command("optimize")
 @click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--metric", type=_METRIC_CHOICES, default="dnc", show_default=True)
-@click.option("--k", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--standardize", is_flag=True, default=False)
-@click.option("--algo", type=_ALGO_CHOICES, default="nsga2", show_default=True)
-@click.option("--budget", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.option("--population", type=click.IntRange(min=2), default=50, show_default=True)
-@click.option("--crossover", type=click.FloatRange(0, 1), default=0.9, show_default=True)
-@click.option("--mutation", type=click.FloatRange(0, 1), default=None, help="Default 1/|pool|.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--sample", type=click.IntRange(min=1), default=None, help="Rows per generator for the pairwise matrix.")
-@click.option("--total", type=click.IntRange(min=1), default=None, help="Union size; default is the real-set size.")
+@_search_options
 @click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
-def cmd_optimize(manifest, metric, k, standardize, algo, budget, population, crossover,
-                 mutation, seed, sample, total, out) -> None:
+def cmd_optimize(manifest, out, **search) -> None:
     """Search ensemble space and emit the Pareto front plus all evaluated points."""
     pool = load_pool(manifest)
-    result = _run_search(
-        pool, metric, k, standardize, algo, budget, population, crossover,
-        mutation, seed, sample, total,
-    )
+    result = _run_search(pool, **search)
     provenance = _provenance(
-        "optimize",
-        manifest=str(manifest), metric=metric, k=k, standardize=standardize,
-        algo=algo, budget=budget, population=population, crossover=crossover,
-        mutation=mutation, seed=seed, sample=sample, total=total,
+        "optimize", manifest=str(manifest), **{n: search[n] for n in _SEARCH_OPTIONS}
     )
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "front.json", _front_payload(pool, result, provenance))
@@ -182,60 +187,43 @@ def _select_from_front_file(
 ) -> SelectionManifest:
     # Selection straight from an exported front: maximize effective delta,
     # break ties by fewer members then by sorted id list.
+    source = f"front file '{front_path}'"
+    doc = read_json(front_path, "front file")
     try:
-        doc = json.loads(front_path.read_text(encoding="utf-8"))
         entries = doc.get("front", [])
         if not entries:
-            raise DataError(f"front file '{front_path}' holds no entries")
-        orientation = doc.get("orientation", "higher")
-        sign = 1.0 if orientation == "higher" else -1.0
-        best = min(
-            entries,
-            key=lambda e: (-sign * float(e["intra"]), int(e["member_count"]), sorted(e["ids"])),
-        )
-        ids = list(best["ids"])
-        if len(set(ids)) != len(ids):
-            raise DataError(f"front file '{front_path}' names a generator twice in one entry")
-        intra, inter = float(best["intra"]), float(best["inter"])
-        member_count = int(best["member_count"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"front file '{front_path}' is malformed: {exc!r}") from None
-    cfg = MetricConfig() if orientation == "higher" else MetricConfig(kind="fid")
+            raise DataError(f"{source} holds no entries")
+        orientation = Orientation(doc.get("orientation", "higher"))
+        sign = 1.0 if orientation is Orientation.HIGHER_IS_BETTER else -1.0
+        best = min(entries, key=lambda e: (
+            -sign * float(e["intra"]), json_int(e["member_count"], "member_count"), sorted(e["ids"])
+        ))
+        intra, inter, member_count = float(best["intra"]), float(best["inter"]), best["member_count"]
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{source} is malformed: {exc!r}") from None
+    genome = EnsembleGenome.from_ids(best["ids"], pool, source, "ids")
+    if member_count != genome.member_count:
+        raise DataError(f"{source} gives member_count {member_count} for {genome.member_count} ids")
+    cfg = MetricConfig() if sign > 0 else MetricConfig(kind="fid")
     objectives = ObjectiveVector(intra=intra, inter=inter, member_count=member_count, metric=cfg)
     if pool is None:
         # Without the pool, quotas follow the entry's own id order, which
         # optimize writes in canonical order.
-        plan = quota_plan(EnsembleGenome((1,) * len(ids)), total)
+        ids = best["ids"]
         return SelectionManifest(
-            chosen=tuple(ids), quotas={ids[i]: q for i, q in plan}, objectives=objectives,
-            front_size=len(entries), total=total, provenance=provenance,
+            chosen=tuple(ids), quotas={ids[i]: q for i, q in quota_plan(genome, total)},
+            objectives=objectives, front_size=len(entries), total=total, provenance=provenance,
         )
-    position = {gid: i for i, gid in enumerate(pool.ids)}
-    unknown = [gid for gid in ids if gid not in position]
-    if unknown:
-        raise DataError(f"front file '{front_path}' names generators not in the pool: {unknown}")
-    genome = EnsembleGenome.from_indices((position[gid] for gid in ids), pool.size, pool.ref)
     return selection_manifest(genome, objectives, pool, len(entries), total, provenance)
 
 
 @cli.command("select")
 @click.option("--manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
 @click.option("--front", "front_file", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
-@click.option("--metric", type=_METRIC_CHOICES, default="dnc", show_default=True)
-@click.option("--k", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--standardize", is_flag=True, default=False)
-@click.option("--algo", type=_ALGO_CHOICES, default="nsga2", show_default=True)
-@click.option("--budget", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.option("--population", type=click.IntRange(min=2), default=50, show_default=True)
-@click.option("--crossover", type=click.FloatRange(0, 1), default=0.9, show_default=True)
-@click.option("--mutation", type=click.FloatRange(0, 1), default=None)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--sample", type=click.IntRange(min=1), default=None)
-@click.option("--total", type=click.IntRange(min=1), default=None)
+@_search_options
 @click.option("--emit-union", is_flag=True, default=False, help="Also write the union embedding file.")
 @click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
-def cmd_select(manifest, front_file, metric, k, standardize, algo, budget, population,
-               crossover, mutation, seed, sample, total, emit_union, out) -> None:
+def cmd_select(manifest, front_file, emit_union, out, **search) -> None:
     """Pick the best ensemble and write its selection manifest (and optionally S*)."""
     if manifest is None and front_file is None:
         raise click.UsageError("provide --manifest (to search) or --front (to reuse a front)")
@@ -244,32 +232,24 @@ def cmd_select(manifest, front_file, metric, k, standardize, algo, budget, popul
         "select",
         manifest=str(manifest) if manifest else None,
         front=str(front_file) if front_file else None,
-        metric=metric, k=k, standardize=standardize, algo=algo, budget=budget,
-        population=population, crossover=crossover, mutation=mutation,
-        seed=seed, sample=sample, total=total, emit_union=emit_union,
+        **{n: search[n] for n in _SEARCH_OPTIONS}, emit_union=emit_union,
     )
+    total = search["total"]
     pool = load_pool(manifest) if manifest is not None else None
     if front_file is not None:
         if total is None and pool is None:
             raise click.UsageError("--total is required when selecting from a front file alone")
         selection = _select_from_front_file(front_file, total, pool, provenance)
     else:
-        result = _run_search(
-            pool, metric, k, standardize, algo, budget, population, crossover,
-            mutation, seed, sample, total,
-        )
+        result = _run_search(pool, **search)
         selection = select_best(result.front, pool, total=total, provenance=provenance)
     _write_json(out / "selection.json", _selection_payload(selection, provenance))
     if emit_union:
         if pool is None:
             raise click.UsageError("--emit-union needs --manifest to load the embeddings")
-        ids = set(selection.chosen)
-        genome = EnsembleGenome.from_indices(
-            (i for i, (record, _) in enumerate(pool.members) if record.id in ids),
-            pool.size,
-            pool.ref,
-        )
-        write_embeddings(build_union(genome, pool, selection.total, seed), out / "union.emb")
+        genome = EnsembleGenome.from_ids(selection.chosen, pool, "the selection", "chosen")
+        union = build_union(genome, pool, selection.total, search["seed"])
+        write_embeddings(union, out / "union.emb")
     click.echo(",".join(selection.chosen))
 
 
@@ -283,46 +263,32 @@ def cmd_select(manifest, front_file, metric, k, standardize, algo, budget, popul
 def cmd_quality(manifest, selection, k, seed, include_all, out) -> None:
     """Per-generator (and union) FID, density, and coverage against the real set."""
     pool = load_pool(manifest)
-    selected = None
+    genome = total = None
     if selection is not None:
+        source = f"selection file '{selection}'"
+        doc = read_json(selection, "selection file")
         try:
-            doc = json.loads(Path(selection).read_text(encoding="utf-8"))
-            if not isinstance(doc["quotas"], dict):
-                raise DataError(
-                    f"selection file '{selection}' is malformed: 'quotas' must map ids to counts"
-                )
-            selected = SelectionManifest(
-                chosen=tuple(doc["chosen"]),
-                quotas={k_: int(v) for k_, v in doc["quotas"].items()},
-                objectives=ObjectiveVector(
-                    intra=float(doc["objectives"]["intra"]),
-                    inter=float(doc["objectives"]["inter"]),
-                    member_count=int(doc["objectives"]["member_count"]),
-                    metric=MetricConfig(),
-                ),
-                front_size=int(doc["front_size"]),
-                total=int(doc["total"]),
-            )
-            known = set(pool.ids)
-            unknown = [gid for gid in selected.chosen if gid not in known]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"selection file '{selection}' is malformed: {exc}") from None
-        if unknown:
-            raise DataError(
-                f"selection file '{selection}' names generators not in the pool: {unknown}"
-            )
-        if len(set(selected.chosen)) != len(selected.chosen):
-            raise DataError(f"selection file '{selection}' names a generator twice in 'chosen'")
+            quotas, objectives = doc["quotas"], doc["objectives"]
+            if not isinstance(quotas, dict):
+                raise DataError(f"{source} is malformed: 'quotas' must map ids to counts")
+            if not all(math.isfinite(float(objectives[axis])) for axis in ("intra", "inter")):
+                raise DataError(f"{source} has non-finite objectives")
+            json_int(objectives["member_count"], "member_count")
+            json_int(doc["front_size"], "front_size")
+            for gid, count in quotas.items():
+                json_int(count, f"quota of {gid!r}")
+            total = json_int(doc["total"], "total")
+            chosen = doc["chosen"]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{source} is malformed: {exc}") from None
+        genome = EnsembleGenome.from_ids(chosen, pool, source, "chosen")
         # quality_rows draws the union by quota_plan, so other quotas would be ignored.
-        chosen = set(selected.chosen)
-        genome = EnsembleGenome(tuple(int(gid in chosen) for gid in pool.ids))
-        plan = {pool.ids[i]: q for i, q in quota_plan(genome, selected.total)}
-        if selected.quotas != plan:
+        plan = {pool.ids[i]: q for i, q in quota_plan(genome, total)}
+        if quotas != plan:
             raise DataError(
-                f"selection file '{selection}' has quotas {selected.quotas}, but its chosen "
-                f"ids and total give {plan}"
+                f"{source} has quotas {quotas}, but its chosen ids and total give {plan}"
             )
-    rows = quality_rows(pool, k=k, seed=seed, selection=selected, include_all=include_all)
+    rows = quality_rows(pool, k=k, seed=seed, union=genome, total=total, include_all=include_all)
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance(
         "quality",

@@ -15,7 +15,6 @@ from .metrics import (
     knn_radii,
 )
 from .objective import EnsembleGenome, build_union, subsample_rows
-from .optimize import SelectionManifest
 from .store import Pool
 
 
@@ -85,15 +84,17 @@ def quality_rows(
     pool: Pool,
     k: int = 5,
     seed: int = 0,
-    selection: SelectionManifest | None = None,
+    union: EnsembleGenome | None = None,
+    total: int | None = None,
     include_all: bool = False,
 ) -> list[QualityRow]:
     """FID, density, and coverage against the real set, one row per label.
 
     Rows cover each generator (subsampled to at most the real-set size for
-    comparability), then the selected union when a selection manifest is
-    given, then an all-generators union when ``include_all`` is set, of the
-    real-set size or one row per generator, whichever is larger.
+    comparability), then the ``union`` genome's union of ``total`` rows
+    (default the real-set size) when a genome is given, then an
+    all-generators union when ``include_all`` is set, of the real-set size
+    or one row per generator, whichever is larger.
     """
     radii = knn_radii(pool.real, k)
     real_summary = gaussian_summary(pool.real)
@@ -108,14 +109,9 @@ def quality_rows(
     for record, dataset in pool.members:
         candidate = subsample_rows(dataset, min(dataset.rows, pool.real.rows), seed, record.id)
         rows.append(row(record.id, candidate))
-    if selection is not None:
-        ids = set(selection.chosen)
-        genome = EnsembleGenome.from_indices(
-            (i for i, (r, _) in enumerate(pool.members) if r.id in ids),
-            pool.size,
-            pool.ref,
-        )
-        rows.append(row("union", build_union(genome, pool, selection.total, seed)))
+    if union is not None:
+        budget = pool.real.rows if total is None else total
+        rows.append(row("union", build_union(union, pool, budget, seed)))
     if include_all:
         genome = EnsembleGenome((1,) * pool.size, pool.ref)
         rows.append(row("all", build_union(genome, pool, max(pool.real.rows, pool.size), seed)))

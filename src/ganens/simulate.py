@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .store import EmbeddingSet, write_embeddings
+from .store import EmbeddingSet, json_int, read_json, write_embeddings
 from .util import readonly, seeded_stream
 
 
@@ -135,10 +135,14 @@ def emit_pool(
     by the profile id, so emission order never matters.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ids = [p.id for p in profiles]
     if len(set(ids)) != len(ids):
         raise ParameterError("profile ids must be unique")
+    for gid in ids:
+        # Each id names its own file in out_dir, next to real.emb.
+        if gid in ("real", ".", "..") or "/" in gid or "\0" in gid:
+            raise ParameterError(f"profile id {gid!r} must be a plain file name other than 'real'")
+    out.mkdir(parents=True, exist_ok=True)
     write_embeddings(sample_real(modes, real_samples, seed), out / "real.emb")
     entries = []
     for profile in profiles:
@@ -172,12 +176,7 @@ def load_profile_spec(path: str | Path) -> SimSpec:
     ``offset`` may be omitted for on-manifold generators.
     """
     spec_path = Path(path)
-    try:
-        doc = json.loads(spec_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read profile spec '{spec_path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"profile spec '{spec_path}' is not valid JSON: {exc}") from None
+    doc = read_json(spec_path, "profile spec")
     try:
         modes = tuple(
             ModeSpec(
@@ -193,16 +192,18 @@ def load_profile_spec(path: str | Path) -> SimSpec:
                 modes_covered=tuple(int(i) for i in g["modes"]),
                 fidelity_noise=float(g.get("noise", 0.0)),
                 offset=np.asarray(g["offset"], dtype=np.float64) if "offset" in g else None,
-                samples=int(g.get("samples", 500)),
+                samples=json_int(g.get("samples", 500), "samples"),
             )
             for g in doc["generators"]
         )
-        real_samples = int(doc["real_samples"])
-        seed = int(doc.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        real_samples = json_int(doc["real_samples"], "real_samples")
+        seed = json_int(doc.get("seed", 0), "seed")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"profile spec '{spec_path}' is malformed: {exc}") from None
     if not modes or not profiles:
         raise DataError(f"profile spec '{spec_path}' needs modes and generators")
+    if seed < 0:
+        raise DataError(f"profile spec '{spec_path}' has seed {seed}, not a non-negative integer")
     return SimSpec(modes=modes, profiles=profiles, real_samples=real_samples, seed=seed)
 
 

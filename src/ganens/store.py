@@ -128,6 +128,24 @@ def write_embeddings(embeddings: EmbeddingSet, dest: str | Path) -> None:
         raise DataError(f"cannot write embeddings to '{path}': {exc}") from exc
 
 
+def read_json(path: str | Path, what: str):
+    """Parse one UTF-8 JSON file; a failure to read or decode it is a DataError naming ``what``."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read {what} '{path}': {exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 and bad JSON are ValueErrors
+        raise DataError(f"{what} '{path}' is malformed, not valid JSON: {exc}") from None
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; for a bool, float or string, a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def read_embeddings(src: str | Path, source_id: str | None = None) -> EmbeddingSet:
     """Load and validate one embedding file (EMB1 binary, or CSV by extension)."""
     path = Path(src)
@@ -172,7 +190,8 @@ def _read_csv(path: Path, source_id: str) -> EmbeddingSet:
     rows: list[list[float]] = []
     linenos: list[int] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # An undecodable byte reads as U+FFFD, which fails float() below with its line.
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -193,7 +212,8 @@ def _read_csv(path: Path, source_id: str) -> EmbeddingSet:
     if not rows:
         raise DataError(f"no vectors found in '{path}'")
     arr = np.asarray(rows, dtype=np.float64)
-    bad = ~np.isfinite(arr.astype(np.float32))
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(arr.astype(np.float32))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise DataError(f"non-finite value on line {linenos[i]}, field {j + 1} of '{path}'")
@@ -208,13 +228,7 @@ def load_pool(manifest: str | Path) -> Pool:
     dimension. File loads run in parallel; the result is immutable.
     """
     manifest_path = Path(manifest)
-    try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read manifest '{manifest_path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest '{manifest_path}' is not valid JSON: {exc}") from None
-
+    doc = read_json(manifest_path, "manifest")
     if not isinstance(doc, dict) or "real" not in doc or "generators" not in doc:
         raise DataError(f"manifest '{manifest_path}' must contain 'real' and 'generators'")
     entries = doc["generators"]
@@ -231,7 +245,7 @@ def load_pool(manifest: str | Path) -> Pool:
             record = GeneratorRecord(
                 id=str(entry["id"]),
                 model_name=str(entry["model"]),
-                iteration=int(entry["iteration"]),
+                iteration=json_int(entry["iteration"], "iteration"),
                 path=str(entry["path"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

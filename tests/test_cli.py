@@ -46,6 +46,25 @@ class TestToy:
         b = (tmp_path / "2" / "real.emb").read_bytes()
         assert a != b
 
+    @pytest.mark.parametrize(
+        "change, detail",
+        [({"seed": -1}, "seed -1"), ({"id": "real"}, "'real'"), ({"id": "../../x"}, "'../../x'")],
+        ids=["negative-seed", "id-real", "id-outside-out"],
+    )
+    def test_bad_spec_is_data_error_and_writes_nothing(self, tmp_path, capsys, change, detail):
+        doc = json.loads(canonical_fixture_path().read_text())
+        if "id" in change:
+            doc["generators"][0]["id"] = change["id"]
+        else:
+            doc.update(change)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "a" / "b" / "out"
+        code = main(["toy", str(spec), "--out", str(out)])
+        assert code == 2
+        assert detail in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
 
 class TestPairwise:
     def test_symmetric_csv(self, small_manifest, tmp_path):
@@ -152,6 +171,16 @@ class TestOptimize:
         assert (tmp_path / "r1" / "front.json").read_bytes() == (
             tmp_path / "r2" / "front.json"
         ).read_bytes()
+
+    def test_flag_order_does_not_change_front_bytes(self, small_manifest, tmp_path):
+        flags = [["--manifest", str(small_manifest)], ["--algo", "random"], ["--budget", "5"],
+                 ["--seed", "3"], ["--k", "3"], ["--total", "50"], ["--standardize"]]
+        fronts = []
+        for name, order in (("a", flags), ("b", flags[::-1])):
+            out = tmp_path / name
+            assert main(["optimize", *[f for pair in order for f in pair], "--out", str(out)]) == 0
+            fronts.append((out / "front.json").read_bytes())
+        assert fronts[0] == fronts[1]
 
     def test_exhaustive_cap_is_validation_error(self, tmp_path, capsys):
         profiles = [GeneratorProfile(f"g{i:02d}", (0,), samples=10) for i in range(21)]
@@ -265,6 +294,36 @@ class TestSelect:
                      "--out", str(tmp_path / "s")])
         assert code == 2
         assert detail in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_manifest", [True, False], ids=["manifest", "front-alone"])
+    @pytest.mark.parametrize(
+        "change, detail",
+        [
+            ({"orientation": []}, "is not a valid Orientation"),
+            ({"orientation": "highest"}, "is not a valid Orientation"),
+            ({"ids": "AB"}, "'ids' must be a nonempty list of generator ids"),
+            ({"ids": [["A"], ["B"]]}, "'ids' must be a nonempty list of generator ids"),
+            ({"member_count": 5}, "member_count 5 for 2 ids"),
+            ({"member_count": 2.7}, "member_count must be an integer, got 2.7"),
+        ],
+        ids=["orientation-list", "orientation-unknown", "ids-string", "ids-nested",
+             "member-count-disagrees", "member-count-fraction"],
+    )
+    def test_bad_front_entry_is_data_error(self, fixture_manifest, tmp_path, capsys, change,
+                                           detail, with_manifest):
+        doc = {"orientation": "higher", "front": [
+            {"ids": ["A", "B"], "intra": 1.0, "inter": 0.5, "member_count": 2}]}
+        if "orientation" in change:
+            doc.update(change)
+        else:
+            doc["front"][0].update(change)
+        front = tmp_path / "front.json"
+        front.write_text(json.dumps(doc))
+        source = ["--manifest", str(fixture_manifest)] if with_manifest else ["--total", "600"]
+        code = main(["select", "--front", str(front), *source, "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert detail in capsys.readouterr().err
+        assert not (tmp_path / "s" / "selection.json").exists()
 
     def test_singleton_front_selected(self, tmp_path):
         front = {
@@ -400,8 +459,11 @@ class TestExitCodes:
             ("--front", json.dumps({"front": [{"ids": ["x"], "intra": 0.5, "inter": 0.0}]}),
              "member_count"),
             ("--selection", "{not json", "Expecting"),
+            ("--front", "[" * 100_000, "maximum recursion depth"),
+            ("--selection", "[" * 100_000, "maximum recursion depth"),
         ],
-        ids=["front-not-json", "front-entry-without-member-count", "selection-not-json"],
+        ids=["front-not-json", "front-entry-without-member-count", "selection-not-json",
+             "front-deep-nesting", "selection-deep-nesting"],
     )
     def test_malformed_json_is_data_error(self, small_manifest, tmp_path, capsys, flag, text,
                                           detail):
@@ -438,9 +500,14 @@ class TestExitCodes:
              "has quotas {'s0': 79, 's2': 1}, but its chosen ids and total give "
              "{'s0': 40, 's2': 40}"),
             ({"chosen": ["s0", "s0"]}, "names a generator twice in 'chosen'"),
+            ({"total": 80.7}, "total must be an integer, got 80.7"),
+            ({"quotas": {"s0": 80.5}}, "quota of 's0' must be an integer, got 80.5"),
+            ({"chosen": "s0"}, "'chosen' must be a nonempty list of generator ids"),
+            ({"objectives": {"intra": 1e999, "inter": 0.0, "member_count": 1}}, "non-finite"),
         ],
         ids=["quotas-list", "quotas-string", "unknown-id", "quotas-other-ids",
-             "quotas-other-counts", "repeated-id"],
+             "quotas-other-counts", "repeated-id", "total-fraction", "quota-fraction",
+             "chosen-string", "objective-infinite"],
     )
     def test_bad_selection_is_data_error(self, small_manifest, tmp_path, capsys, change, detail):
         doc = {

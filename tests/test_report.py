@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from ganens import (
-    MetricConfig,
-    ObjectiveVector,
+    EnsembleGenome,
     ParameterError,
-    SelectionManifest,
     compute_gap,
     gmean_from_confusion,
     quality_rows,
@@ -84,14 +82,8 @@ class TestQualityRows:
 
     def test_union_equal_to_real_hits_self_values(self):
         pool = self._pool()
-        selection = SelectionManifest(
-            chosen=("same",),
-            quotas={"same": 50},
-            objectives=ObjectiveVector(1.0, 0.0, 1, MetricConfig()),
-            front_size=1,
-            total=50,
-        )
-        rows = {r.label: r for r in quality_rows(pool, k=5, seed=0, selection=selection)}
+        genome = EnsembleGenome.from_ids(["same"], pool, "test", "ids")
+        rows = {r.label: r for r in quality_rows(pool, k=5, seed=0, union=genome, total=50)}
         union = rows["union"]
         # a set against itself: coverage 1, density (k+1)/k, FID ~ 0
         assert union.coverage == 1.0

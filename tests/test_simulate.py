@@ -149,6 +149,13 @@ class TestEmitPool:
         with pytest.raises(ParameterError, match="unique"):
             emit_pool(four_modes(), 10, profiles, tmp_path, seed=0)
 
+    @pytest.mark.parametrize("gid", ["real", "../x", "a/b", "..", "."])
+    def test_id_that_is_not_a_plain_file_name_rejected(self, tmp_path, gid):
+        profiles = [GeneratorProfile(gid, (0,), samples=5)]
+        with pytest.raises(ParameterError, match="plain file name other than 'real'"):
+            emit_pool(four_modes(), 10, profiles, tmp_path / "out", seed=0)
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     def test_canonical_fixture_regression_hashes(self, tmp_path, fixture_spec):
         emit_pool(
             list(fixture_spec.modes),
@@ -187,4 +194,28 @@ class TestProfileSpec:
             )
         )
         with pytest.raises(DataError, match="malformed"):
+            load_profile_spec(bad)
+
+    @pytest.mark.parametrize(
+        "raw", [b"[" * 100_000, b"\xff{}"], ids=["deep-nesting", "invalid-utf8"]
+    )
+    def test_undecodable_spec_is_data_error(self, tmp_path, raw):
+        bad = tmp_path / "spec.json"
+        bad.write_bytes(raw)
+        with pytest.raises(DataError, match="not valid JSON"):
+            load_profile_spec(bad)
+
+    @pytest.mark.parametrize(
+        "change, detail",
+        [({"seed": -1}, "seed -1"), ({"seed": 1.5}, "seed must be an integer"),
+         ({"real_samples": 5.5}, "real_samples must be an integer")],
+        ids=["negative-seed", "fractional-seed", "fractional-real-samples"],
+    )
+    def test_bad_counts_in_spec_are_data_errors(self, tmp_path, change, detail):
+        doc = {"modes": [{"center": [0], "spread": 1}],
+               "generators": [{"id": "g", "modes": [0]}], "real_samples": 5}
+        doc.update(change)
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=detail):
             load_profile_spec(bad)

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -237,3 +238,47 @@ def test_malformed_manifest(tmp_path):
     bad.write_text(json.dumps({"real": "x.emb", "generators": [{"id": "g"}]}))
     with pytest.raises(DataError, match="malformed"):
         load_pool(bad)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"[" * 100_000, b"\xff{}", b'{"real": "r\xe9.emb"}', b"[" + b"9" * 5000 + b"]"],
+    ids=["deep-nesting", "invalid-utf8-start", "invalid-utf8-inside", "integer-too-long"],
+)
+def test_undecodable_manifest_is_data_error(tmp_path, raw):
+    bad = tmp_path / "m.json"
+    bad.write_bytes(raw)
+    with pytest.raises(DataError, match="manifest '.*m.json' is malformed, not valid JSON"):
+        load_pool(bad)
+
+
+@pytest.mark.parametrize("iteration", [1.5, True, "3"], ids=["fraction", "bool", "string"])
+def test_non_integer_iteration_is_data_error(tmp_path, iteration):
+    rng = np.random.default_rng(0)
+    _emit(tmp_path, "real.emb", rng.normal(size=(5, 4)))
+    _emit(tmp_path, "g.emb", rng.normal(size=(4, 4)))
+    manifest = _write_manifest(
+        tmp_path, [{"id": "g", "model": "m", "iteration": iteration, "path": "g.emb"}]
+    )
+    with pytest.raises(DataError, match="iteration must be an integer"):
+        load_pool(manifest)
+
+
+def test_csv_not_utf8_is_data_error_naming_the_file(tmp_path):
+    rng = np.random.default_rng(0)
+    _emit(tmp_path, "real.emb", rng.normal(size=(5, 2)))
+    (tmp_path / "g.csv").write_bytes(b"1.0,2.0\n3.0,\xff4.0\n")
+    manifest = _write_manifest(
+        tmp_path, [{"id": "g", "model": "m", "iteration": 0, "path": "g.csv"}]
+    )
+    with pytest.raises(DataError, match=r"line 2 of '.*g\.csv'"):
+        load_pool(manifest)
+
+
+def test_csv_float32_overflow_is_data_error_without_a_warning(tmp_path):
+    path = tmp_path / "o.csv"
+    path.write_text("1.0,2.0\n1e39,4.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="line 2, field 1"):
+            read_embeddings(path)
