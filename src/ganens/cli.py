@@ -24,7 +24,7 @@ from .objective import (
     pairwise_matrix,
     quota_plan,
 )
-from .optimize import SearchConfig, SelectionManifest, search, select_best, selection_manifest
+from .optimize import ParetoFront, SearchConfig, SelectionManifest, search, select_best
 from .report import compute_gap, quality_rows
 from .simulate import emit_pool, load_profile_spec
 from .store import Pool, json_int, load_pool, read_json, write_embeddings
@@ -107,15 +107,17 @@ def cmd_pairwise(manifest, metric, k, standardize, seed, sample, out) -> None:
     click.echo(str(out / "pairwise.csv"))
 
 
-def _run_search(pool, metric, k, standardize, algo, budget, population, crossover,
-                mutation, seed, sample, total):
-    cfg = MetricConfig(kind=metric, k=k, standardize=standardize)
+def _metric_config(flags: dict) -> MetricConfig:
+    return MetricConfig(kind=flags["metric"], k=flags["k"], standardize=flags["standardize"])
+
+
+def _run_search(pool, cfg: MetricConfig, flags: dict):
     evaluator = EnsembleEvaluator(
-        pool, cfg, seed=seed, total=total, sample_per_generator=sample
+        pool, cfg, seed=flags["seed"], total=flags["total"], sample_per_generator=flags["sample"]
     )
     search_cfg = SearchConfig(
-        algorithm=algo, budget=budget, population=population,
-        crossover_rate=crossover, mutation_rate=mutation, seed=seed,
+        algorithm=flags["algo"], budget=flags["budget"], population=flags["population"],
+        crossover_rate=flags["crossover"], mutation_rate=flags["mutation"], seed=flags["seed"],
     )
     return search(pool, evaluator, search_cfg)
 
@@ -155,7 +157,7 @@ def _scatter_lines(result) -> list[str]:
 def cmd_optimize(manifest, out, **search) -> None:
     """Search ensemble space and emit the Pareto front plus all evaluated points."""
     pool = load_pool(manifest)
-    result = _run_search(pool, **search)
+    result = _run_search(pool, _metric_config(search), search)
     provenance = _provenance(
         "optimize", manifest=str(manifest), **{n: search[n] for n in _SEARCH_OPTIONS}
     )
@@ -183,70 +185,63 @@ def _selection_payload(selection: SelectionManifest, provenance: dict) -> dict:
 
 
 def _select_from_front_file(
-    front_path: Path, total: int | None, pool: Pool | None, provenance: dict
+    front_path: Path, pool: Pool, cfg: MetricConfig, total: int | None, provenance: dict
 ) -> SelectionManifest:
-    # Selection straight from an exported front: maximize effective delta,
-    # break ties by fewer members then by sorted id list.
+    """``select_best`` over an exported front, every entry of which is checked."""
     source = f"front file '{front_path}'"
     doc = read_json(front_path, "front file")
     try:
-        entries = doc.get("front", [])
-        if not entries:
-            raise DataError(f"{source} holds no entries")
         orientation = Orientation(doc.get("orientation", "higher"))
-        sign = 1.0 if orientation is Orientation.HIGHER_IS_BETTER else -1.0
-        best = min(entries, key=lambda e: (
-            -sign * float(e["intra"]), json_int(e["member_count"], "member_count"), sorted(e["ids"])
-        ))
-        intra, inter, member_count = float(best["intra"]), float(best["inter"]), best["member_count"]
+        rows = [
+            (e["ids"], float(e["intra"]), float(e["inter"]),
+             json_int(e["member_count"], "member_count"))
+            for e in doc.get("front", [])
+        ]
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{source} is malformed: {exc!r}") from None
-    genome = EnsembleGenome.from_ids(best["ids"], pool, source, "ids")
-    if member_count != genome.member_count:
-        raise DataError(f"{source} gives member_count {member_count} for {genome.member_count} ids")
-    cfg = MetricConfig() if sign > 0 else MetricConfig(kind="fid")
-    objectives = ObjectiveVector(intra=intra, inter=inter, member_count=member_count, metric=cfg)
-    if pool is None:
-        # Without the pool, quotas follow the entry's own id order, which
-        # optimize writes in canonical order.
-        ids = best["ids"]
-        return SelectionManifest(
-            chosen=tuple(ids), quotas={ids[i]: q for i, q in quota_plan(genome, total)},
-            objectives=objectives, front_size=len(entries), total=total, provenance=provenance,
+    if orientation is not cfg.orientation:
+        raise DataError(
+            f"{source} has orientation '{orientation.value}', but --metric {cfg.kind.value} "
+            f"is '{cfg.orientation.value}'"
         )
-    return selection_manifest(genome, objectives, pool, len(entries), total, provenance)
+    if not rows:
+        raise DataError(f"{source} holds no entries")
+    entries = []
+    for ids, intra, inter, member_count in rows:
+        genome = EnsembleGenome.from_ids(ids, pool, source, "ids")
+        if member_count != genome.member_count:
+            raise DataError(
+                f"{source} gives member_count {member_count} for {genome.member_count} ids"
+            )
+        if not (math.isfinite(intra) and math.isfinite(inter)):
+            raise DataError(f"{source} has non-finite objectives for {ids}")
+        entries.append((genome, ObjectiveVector(intra, inter, member_count, cfg)))
+    return select_best(ParetoFront(tuple(entries), orientation), pool, total, provenance)
 
 
 @cli.command("select")
-@click.option("--manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
+@click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--front", "front_file", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
 @_search_options
 @click.option("--emit-union", is_flag=True, default=False, help="Also write the union embedding file.")
 @click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
 def cmd_select(manifest, front_file, emit_union, out, **search) -> None:
     """Pick the best ensemble and write its selection manifest (and optionally S*)."""
-    if manifest is None and front_file is None:
-        raise click.UsageError("provide --manifest (to search) or --front (to reuse a front)")
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance(
         "select",
-        manifest=str(manifest) if manifest else None,
-        front=str(front_file) if front_file else None,
+        manifest=str(manifest), front=str(front_file) if front_file else None,
         **{n: search[n] for n in _SEARCH_OPTIONS}, emit_union=emit_union,
     )
-    total = search["total"]
-    pool = load_pool(manifest) if manifest is not None else None
+    pool = load_pool(manifest)
+    cfg = _metric_config(search)
     if front_file is not None:
-        if total is None and pool is None:
-            raise click.UsageError("--total is required when selecting from a front file alone")
-        selection = _select_from_front_file(front_file, total, pool, provenance)
+        selection = _select_from_front_file(front_file, pool, cfg, search["total"], provenance)
     else:
-        result = _run_search(pool, **search)
-        selection = select_best(result.front, pool, total=total, provenance=provenance)
+        result = _run_search(pool, cfg, search)
+        selection = select_best(result.front, pool, total=search["total"], provenance=provenance)
     _write_json(out / "selection.json", _selection_payload(selection, provenance))
     if emit_union:
-        if pool is None:
-            raise click.UsageError("--emit-union needs --manifest to load the embeddings")
         genome = EnsembleGenome.from_ids(selection.chosen, pool, "the selection", "chosen")
         union = build_union(genome, pool, selection.total, search["seed"])
         write_embeddings(union, out / "union.emb")
@@ -273,7 +268,7 @@ def cmd_quality(manifest, selection, k, seed, include_all, out) -> None:
                 raise DataError(f"{source} is malformed: 'quotas' must map ids to counts")
             if not all(math.isfinite(float(objectives[axis])) for axis in ("intra", "inter")):
                 raise DataError(f"{source} has non-finite objectives")
-            json_int(objectives["member_count"], "member_count")
+            member_count = json_int(objectives["member_count"], "member_count")
             json_int(doc["front_size"], "front_size")
             for gid, count in quotas.items():
                 json_int(count, f"quota of {gid!r}")
@@ -287,6 +282,10 @@ def cmd_quality(manifest, selection, k, seed, include_all, out) -> None:
         if quotas != plan:
             raise DataError(
                 f"{source} has quotas {quotas}, but its chosen ids and total give {plan}"
+            )
+        if member_count != genome.member_count:
+            raise DataError(
+                f"{source} gives member_count {member_count} for {genome.member_count} ids"
             )
     rows = quality_rows(pool, k=k, seed=seed, union=genome, total=total, include_all=include_all)
     out.mkdir(parents=True, exist_ok=True)

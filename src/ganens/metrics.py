@@ -144,7 +144,6 @@ class MetricConfig:
 class RadiusProfile:
     """Per-point k-th-nearest-neighbor distances within one reference set."""
 
-    reference_id: str
     k: int
     radii: np.ndarray
 
@@ -173,10 +172,6 @@ class GaussianSummary:
 def _as_matrix(x: EmbeddingSet | np.ndarray) -> np.ndarray:
     data = x.data if isinstance(x, EmbeddingSet) else np.asarray(x)
     return np.ascontiguousarray(data, dtype=np.float64)
-
-
-def _source_id(x: EmbeddingSet | np.ndarray) -> str:
-    return x.source_id if isinstance(x, EmbeddingSet) else ""
 
 
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -315,7 +310,7 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
         exact[rows + start == cols] = np.inf
         exact = exact[np.lexsort((exact, rows))]
         kth[start : start + own.shape[0]] = exact[np.searchsorted(rows, own) + k - 1]
-    return RadiusProfile(reference_id=_source_id(reference), k=k, radii=np.sqrt(kth))
+    return RadiusProfile(k=k, radii=np.sqrt(kth))
 
 
 def _check_pair(ref: np.ndarray, cand: np.ndarray) -> None:

@@ -78,23 +78,21 @@ class EnsembleGenome:
         return cls(tuple(1 if i in picked else 0 for i in range(size)), pool_ref)
 
     @classmethod
-    def from_ids(cls, ids, pool: Pool | None, source: str, key: str) -> "EnsembleGenome":
+    def from_ids(cls, ids, pool: Pool, source: str, key: str) -> "EnsembleGenome":
         """The genome of ``ids``, field ``key`` of ``source``: a DataError unless they are
-        distinct members of ``pool``. Without a pool the ids are a pool of their own.
+        distinct members of ``pool``.
         """
         if not isinstance(ids, (list, tuple)) or not ids or not all(isinstance(g, str) for g in ids):
             raise DataError(
                 f"{source} is malformed: {key!r} must be a nonempty list of generator ids"
             )
-        universe = ids if pool is None else pool.ids
-        position = {gid: i for i, gid in enumerate(universe)}
+        position = {gid: i for i, gid in enumerate(pool.ids)}
         unknown = [gid for gid in ids if gid not in position]
         if unknown:
             raise DataError(f"{source} names generators not in the pool: {unknown}")
         if len(set(ids)) != len(ids):
             raise DataError(f"{source} names a generator twice in {key!r}")
-        ref = "" if pool is None else pool.ref
-        return cls.from_indices((position[g] for g in ids), len(universe), ref)
+        return cls.from_indices((position[g] for g in ids), pool.size, pool.ref)
 
 
 @dataclass(frozen=True)

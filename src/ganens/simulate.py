@@ -189,7 +189,7 @@ def load_profile_spec(path: str | Path) -> SimSpec:
         profiles = tuple(
             GeneratorProfile(
                 id=str(g["id"]),
-                modes_covered=tuple(int(i) for i in g["modes"]),
+                modes_covered=tuple(json_int(i, "mode index") for i in g["modes"]),
                 fidelity_noise=float(g.get("noise", 0.0)),
                 offset=np.asarray(g["offset"], dtype=np.float64) if "offset" in g else None,
                 samples=json_int(g.get("samples", 500), "samples"),

@@ -138,7 +138,7 @@ def test_criterion_4_mode_recovery(tmp_path):
         assert (
             main(
                 [
-                    "select", "--manifest", manifest, "--algo", "exhaustive",
+                    "select", "--front", str(base / "opt" / "front.json"), "--manifest", manifest,
                     "--seed", "0", "--emit-union", "--out", str(base / "sel"),
                 ]
             )

@@ -4,11 +4,22 @@ import shutil
 import numpy as np
 import pytest
 
-from ganens import canonical_fixture_path, read_embeddings
+from ganens import (
+    EnsembleGenome,
+    GeneratorProfile,
+    MetricConfig,
+    ObjectiveVector,
+    Orientation,
+    ParetoFront,
+    canonical_fixture_path,
+    emit_pool,
+    load_pool,
+    read_embeddings,
+    select_best,
+)
 from ganens.cli import main
 
 from conftest import four_modes
-from ganens import GeneratorProfile, emit_pool
 
 
 @pytest.fixture(scope="module")
@@ -48,15 +59,16 @@ class TestToy:
 
     @pytest.mark.parametrize(
         "change, detail",
-        [({"seed": -1}, "seed -1"), ({"id": "real"}, "'real'"), ({"id": "../../x"}, "'../../x'")],
-        ids=["negative-seed", "id-real", "id-outside-out"],
+        [({"seed": -1}, "seed -1"), ({"id": "real"}, "'real'"), ({"id": "../../x"}, "'../../x'"),
+         ({"modes": [2.9]}, "mode index must be an integer, got 2.9")],
+        ids=["negative-seed", "id-real", "id-outside-out", "fractional-mode"],
     )
     def test_bad_spec_is_data_error_and_writes_nothing(self, tmp_path, capsys, change, detail):
         doc = json.loads(canonical_fixture_path().read_text())
-        if "id" in change:
-            doc["generators"][0]["id"] = change["id"]
-        else:
+        if "seed" in change:
             doc.update(change)
+        else:
+            doc["generators"][0].update(change)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         out = tmp_path / "a" / "b" / "out"
@@ -221,30 +233,6 @@ class TestSelect:
         union = read_embeddings(tmp_path / "union.emb")
         assert union.rows == 600
 
-    def test_large_pool_quotas_from_front_file(self, tmp_path):
-        # 38 chosen ids at total 4708 -> quotas sum exactly
-        front = {
-            "orientation": "higher",
-            "front": [
-                {
-                    "ids": [f"m{i:02d}" for i in range(38)],
-                    "intra": 0.91,
-                    "inter": 0.4,
-                    "member_count": 38,
-                }
-            ],
-        }
-        path = tmp_path / "front.json"
-        path.write_text(json.dumps(front))
-        code = main(
-            ["select", "--front", str(path), "--total", "4708", "--out", str(tmp_path / "sel")]
-        )
-        assert code == 0
-        doc = json.loads((tmp_path / "sel" / "selection.json").read_text())
-        quotas = list(doc["quotas"].values())
-        assert sum(quotas) == 4708
-        assert quotas.count(124) == 34 and quotas.count(123) == 4
-
     @staticmethod
     def _iteration_pool(tmp_path):
         """Two generators whose sorted ids ("g-40000" < "g-5000") reverse canonical order."""
@@ -295,7 +283,7 @@ class TestSelect:
         assert code == 2
         assert detail in capsys.readouterr().err
 
-    @pytest.mark.parametrize("with_manifest", [True, False], ids=["manifest", "front-alone"])
+    @pytest.mark.parametrize("source", ["manifest"])
     @pytest.mark.parametrize(
         "change, detail",
         [
@@ -310,7 +298,7 @@ class TestSelect:
              "member-count-disagrees", "member-count-fraction"],
     )
     def test_bad_front_entry_is_data_error(self, fixture_manifest, tmp_path, capsys, change,
-                                           detail, with_manifest):
+                                           detail, source):
         doc = {"orientation": "higher", "front": [
             {"ids": ["A", "B"], "intra": 1.0, "inter": 0.5, "member_count": 2}]}
         if "orientation" in change:
@@ -319,31 +307,90 @@ class TestSelect:
             doc["front"][0].update(change)
         front = tmp_path / "front.json"
         front.write_text(json.dumps(doc))
-        source = ["--manifest", str(fixture_manifest)] if with_manifest else ["--total", "600"]
-        code = main(["select", "--front", str(front), *source, "--out", str(tmp_path / "s")])
+        code = main(["select", "--front", str(front), f"--{source}", str(fixture_manifest),
+                     "--out", str(tmp_path / "s")])
         assert code == 2
         assert detail in capsys.readouterr().err
         assert not (tmp_path / "s" / "selection.json").exists()
 
-    def test_singleton_front_selected(self, tmp_path):
-        front = {
-            "orientation": "higher",
-            "front": [{"ids": ["only"], "intra": 0.5, "inter": 0.0, "member_count": 1}],
-        }
+    def test_singleton_front_selected(self, fixture_manifest, tmp_path):
         path = tmp_path / "front.json"
-        path.write_text(json.dumps(front))
-        code = main(["select", "--front", str(path), "--total", "10", "--out", str(tmp_path / "s")])
+        path.write_text(json.dumps({"orientation": "higher", "front": [
+            {"ids": ["D"], "intra": 0.5, "inter": 0.0, "member_count": 1}]}))
+        code = main(["select", "--front", str(path), "--manifest", str(fixture_manifest),
+                     "--total", "10", "--out", str(tmp_path / "s")])
         assert code == 0
         doc = json.loads((tmp_path / "s" / "selection.json").read_text())
-        assert doc["chosen"] == ["only"]
+        assert doc["chosen"] == ["D"] and doc["quotas"] == {"D": 10}
 
-    def test_front_without_total_is_usage_error(self, tmp_path, capsys):
+    def test_front_without_manifest_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "front.json"
         path.write_text(json.dumps({"orientation": "higher", "front": [
             {"ids": ["x"], "intra": 0.5, "inter": 0.0, "member_count": 1}]}))
-        code = main(["select", "--front", str(path), "--out", str(tmp_path / "s")])
+        code = main(["select", "--front", str(path), "--total", "1", "--out", str(tmp_path / "s")])
         assert code == 1
-        assert "--total" in capsys.readouterr().err
+        assert "--manifest" in capsys.readouterr().err
+
+    def test_tie_breaks_as_select_best(self, fixture_manifest, tmp_path):
+        # [A, B] and [A, C] tie on both objectives and on size; select_best takes
+        # the smaller bit vector, (1, 0, 1, ...) for [A, C].
+        entries = [{"ids": ids, "intra": 0.9, "inter": 0.4, "member_count": 2}
+                   for ids in (["A", "B"], ["A", "C"])]
+        path = tmp_path / "front.json"
+        path.write_text(json.dumps({"orientation": "higher", "front": entries}))
+        code = main(["select", "--front", str(path), "--manifest", str(fixture_manifest),
+                     "--out", str(tmp_path / "s")])
+        assert code == 0
+        pool = load_pool(fixture_manifest)
+        cfg = MetricConfig()
+        front = ParetoFront(tuple(
+            (EnsembleGenome.from_ids(e["ids"], pool, "test", "ids"),
+             ObjectiveVector(e["intra"], e["inter"], e["member_count"], cfg))
+            for e in entries), Orientation.HIGHER_IS_BETTER)
+        doc = json.loads((tmp_path / "s" / "selection.json").read_text())
+        assert doc["chosen"] == list(select_best(front, pool).chosen) == ["A", "C"]
+
+    @pytest.mark.parametrize("metric", ["dnc", "fid"])
+    def test_front_file_selects_as_search(self, tmp_path, metric):
+        assert main(["toy", str(canonical_fixture_path()), "--out", str(tmp_path / "pool"),
+                     "--seed", "3"]) == 0
+        flags = ["--manifest", str(tmp_path / "pool" / "manifest.json"), "--metric", metric]
+        search = [*flags, "--algo", "exhaustive"]
+        assert main(["optimize", *search, "--out", str(tmp_path / "opt")]) == 0
+        assert main(["select", *search, "--out", str(tmp_path / "search")]) == 0
+        assert main(["select", "--front", str(tmp_path / "opt" / "front.json"), *flags,
+                     "--out", str(tmp_path / "front")]) == 0
+        docs = [json.loads((tmp_path / d / "selection.json").read_text())
+                for d in ("search", "front")]
+        for key in ("chosen", "quotas", "objectives", "front_size", "total"):
+            assert docs[0][key] == docs[1][key], key
+
+    def test_front_orientation_must_match_metric(self, fixture_manifest, tmp_path, capsys):
+        path = tmp_path / "front.json"
+        path.write_text(json.dumps({"orientation": "lower", "front": [
+            {"ids": ["A"], "intra": 3.0, "inter": 0.0, "member_count": 1}]}))
+        code = main(["select", "--front", str(path), "--manifest", str(fixture_manifest),
+                     "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "orientation 'lower', but --metric dnc is 'higher'" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "selection.json").exists()
+
+    @pytest.mark.parametrize(
+        "change, detail",
+        [({"member_count": 3}, "member_count 3 for 1 ids"),
+         ({"inter": float("inf")}, "non-finite objectives for ['C']")],
+        ids=["member-count-disagrees", "inter-infinite"],
+    )
+    def test_bad_entry_behind_the_best_is_data_error(self, fixture_manifest, tmp_path, capsys,
+                                                     change, detail):
+        worse = {"ids": ["C"], "intra": 0.5, "inter": 0.0, "member_count": 1, **change}
+        path = tmp_path / "front.json"
+        path.write_text(json.dumps({"orientation": "higher", "front": [
+            {"ids": ["A", "B"], "intra": 0.9, "inter": 0.4, "member_count": 2}, worse]}))
+        code = main(["select", "--front", str(path), "--manifest", str(fixture_manifest),
+                     "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert detail in capsys.readouterr().err
 
     def test_needs_manifest_or_front(self, tmp_path):
         assert main(["select", "--out", str(tmp_path)]) == 1
@@ -504,10 +551,12 @@ class TestExitCodes:
             ({"quotas": {"s0": 80.5}}, "quota of 's0' must be an integer, got 80.5"),
             ({"chosen": "s0"}, "'chosen' must be a nonempty list of generator ids"),
             ({"objectives": {"intra": 1e999, "inter": 0.0, "member_count": 1}}, "non-finite"),
+            ({"objectives": {"intra": 0.5, "inter": 0.0, "member_count": 5}},
+             "member_count 5 for 1 ids"),
         ],
         ids=["quotas-list", "quotas-string", "unknown-id", "quotas-other-ids",
              "quotas-other-counts", "repeated-id", "total-fraction", "quota-fraction",
-             "chosen-string", "objective-infinite"],
+             "chosen-string", "objective-infinite", "member-count-disagrees"],
     )
     def test_bad_selection_is_data_error(self, small_manifest, tmp_path, capsys, change, detail):
         doc = {

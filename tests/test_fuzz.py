@@ -86,11 +86,10 @@ def _damage(path: Path, edits, swap) -> None:
     path.write_bytes(raw)
 
 
-def _argv(work: Path, target: str, front_alone: bool) -> list[str]:
+def _argv(work: Path, target: str) -> list[str]:
     manifest, out = ["--manifest", str(work / "manifest.json")], ["--out", str(work / "out")]
     if target == "front.json":
-        source = ["--total", "12"] if front_alone else [*manifest, "--emit-union"]
-        return ["select", "--front", str(work / target), *source, *out]
+        return ["select", "--front", str(work / target), *manifest, "--emit-union", *out]
     if target == "selection.json":
         return ["quality", *manifest, "--selection", str(work / target), "--include-all", *out]
     return ["quality", *manifest, *out]
@@ -101,17 +100,15 @@ def _argv(work: Path, target: str, front_alone: bool) -> list[str]:
     target=st.sampled_from(TARGETS),
     edits=EDITS,
     swap=st.none() | st.tuples(st.integers(0, 40), JSON_VALUES),
-    front_alone=st.booleans(),
 )
-@example(target="manifest.json", edits=DEEP, swap=None, front_alone=False)
-@example(target="front.json", edits=DEEP, swap=None, front_alone=True)
-@example(target="front.json", edits=DEEP, swap=None, front_alone=False)
-@example(target="selection.json", edits=DEEP, swap=None, front_alone=False)
-@example(target="manifest.json", edits=[(0, 0, b"\xff")], swap=None, front_alone=False)
-@example(target="g1.csv", edits=[(5, 0, b"\xff")], swap=None, front_alone=False)
-@example(target="front.json", edits=[], swap=(3, [["g0"], ["g1"]]), front_alone=True)
-@example(target="front.json", edits=[], swap=(3, "g0g1"), front_alone=True)
-def test_damaged_input_exits_with_a_message(base, target, edits, swap, front_alone):
+@example(target="manifest.json", edits=DEEP, swap=None)
+@example(target="front.json", edits=DEEP, swap=None)
+@example(target="selection.json", edits=DEEP, swap=None)
+@example(target="manifest.json", edits=[(0, 0, b"\xff")], swap=None)
+@example(target="g1.csv", edits=[(5, 0, b"\xff")], swap=None)
+@example(target="front.json", edits=[], swap=(3, [["g0"], ["g1"]]))
+@example(target="front.json", edits=[], swap=(3, "g0g1"))
+def test_damaged_input_exits_with_a_message(base, target, edits, swap):
     work = Path(tempfile.mkdtemp(dir=base))
     try:
         for name in ("real.emb", *TARGETS):
@@ -119,7 +116,7 @@ def test_damaged_input_exits_with_a_message(base, target, edits, swap, front_alo
         _damage(work / target, edits, swap if target.endswith(".json") else None)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(_argv(work, target, front_alone))
+            code = main(_argv(work, target))
         assert code in (0, 1, 2)
         assert code == 0 or err.getvalue().strip()
     finally:
