@@ -33,8 +33,8 @@ _METRIC_CHOICES = click.Choice(["dnc", "fid"])
 _ALGO_CHOICES = click.Choice(["exhaustive", "random", "nsga2"])
 
 
-# The search flags of optimize and select, declared once, in the order that
-# provenance records them whatever their order on the command line.
+# The search flags, declared once for every command that takes them, in the
+# order that provenance records them whatever their order on the command line.
 _SEARCH_OPTIONS = {
     "metric": dict(type=_METRIC_CHOICES, default="dnc", show_default=True),
     "k": dict(type=click.IntRange(min=1), default=5, show_default=True),
@@ -52,10 +52,20 @@ _SEARCH_OPTIONS = {
 }
 
 
-def _search_options(command):
-    for name, attrs in reversed(_SEARCH_OPTIONS.items()):
-        command = click.option(f"--{name}", **attrs)(command)
-    return command
+def _search_options(*names):
+    """Decorator adding the named search flags, or all of them when none are named."""
+
+    def decorate(command):
+        for name in reversed(names or tuple(_SEARCH_OPTIONS)):
+            command = click.option(f"--{name}", **_SEARCH_OPTIONS[name])(command)
+        return command
+
+    return decorate
+
+
+def _in_order(flags: dict) -> dict:
+    """The search flags among ``flags``, in the order of ``_SEARCH_OPTIONS``."""
+    return {name: flags[name] for name in _SEARCH_OPTIONS if name in flags}
 
 
 def _provenance(command: str, **flags) -> dict:
@@ -86,23 +96,16 @@ def cmd_toy(spec: Path, out: Path, seed: int | None) -> None:
 
 @cli.command("pairwise")
 @click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--metric", type=_METRIC_CHOICES, default="dnc", show_default=True)
-@click.option("--k", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--standardize", is_flag=True, default=False)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--sample", type=click.IntRange(min=1), default=None, help="Rows per generator.")
+@_search_options("metric", "k", "standardize", "seed", "sample")
 @click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
-def cmd_pairwise(manifest, metric, k, standardize, seed, sample, out) -> None:
+def cmd_pairwise(manifest, out, **flags) -> None:
     """Compute the symmetric pairwise metric matrix over the pool."""
     pool = load_pool(manifest)
-    cfg = MetricConfig(kind=metric, k=k, standardize=standardize)
-    matrix = pairwise_matrix(pool, cfg, sample_per_generator=sample, seed=seed)
-    out.mkdir(parents=True, exist_ok=True)
-    provenance = _provenance(
-        "pairwise",
-        manifest=str(manifest), metric=metric, k=k, standardize=standardize,
-        seed=seed, sample=sample,
+    matrix = pairwise_matrix(
+        pool, _metric_config(flags), sample_per_generator=flags["sample"], seed=flags["seed"]
     )
+    out.mkdir(parents=True, exist_ok=True)
+    provenance = _provenance("pairwise", manifest=str(manifest), **_in_order(flags))
     matrix.write_csv(out / "pairwise.csv", provenance=provenance)
     click.echo(str(out / "pairwise.csv"))
 
@@ -152,15 +155,13 @@ def _scatter_lines(result) -> list[str]:
 
 @cli.command("optimize")
 @click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@_search_options
+@_search_options()
 @click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
 def cmd_optimize(manifest, out, **search) -> None:
     """Search ensemble space and emit the Pareto front plus all evaluated points."""
     pool = load_pool(manifest)
     result = _run_search(pool, _metric_config(search), search)
-    provenance = _provenance(
-        "optimize", manifest=str(manifest), **{n: search[n] for n in _SEARCH_OPTIONS}
-    )
+    provenance = _provenance("optimize", manifest=str(manifest), **_in_order(search))
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "front.json", _front_payload(pool, result, provenance))
     scatter = out / "scatter.csv"
@@ -185,7 +186,7 @@ def _selection_payload(selection: SelectionManifest, provenance: dict) -> dict:
 
 
 def _select_from_front_file(
-    front_path: Path, pool: Pool, cfg: MetricConfig, total: int | None, provenance: dict
+    front_path: Path, pool: Pool, cfg: MetricConfig, total: int | None
 ) -> SelectionManifest:
     """``select_best`` over an exported front, every entry of which is checked."""
     source = f"front file '{front_path}'"
@@ -216,13 +217,13 @@ def _select_from_front_file(
         if not (math.isfinite(intra) and math.isfinite(inter)):
             raise DataError(f"{source} has non-finite objectives for {ids}")
         entries.append((genome, ObjectiveVector(intra, inter, member_count, cfg)))
-    return select_best(ParetoFront(tuple(entries), orientation), pool, total, provenance)
+    return select_best(ParetoFront(tuple(entries), orientation), pool, total)
 
 
 @cli.command("select")
 @click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--front", "front_file", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
-@_search_options
+@_search_options()
 @click.option("--emit-union", is_flag=True, default=False, help="Also write the union embedding file.")
 @click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
 def cmd_select(manifest, front_file, emit_union, out, **search) -> None:
@@ -231,19 +232,18 @@ def cmd_select(manifest, front_file, emit_union, out, **search) -> None:
     provenance = _provenance(
         "select",
         manifest=str(manifest), front=str(front_file) if front_file else None,
-        **{n: search[n] for n in _SEARCH_OPTIONS}, emit_union=emit_union,
+        **_in_order(search), emit_union=emit_union,
     )
     pool = load_pool(manifest)
     cfg = _metric_config(search)
     if front_file is not None:
-        selection = _select_from_front_file(front_file, pool, cfg, search["total"], provenance)
+        selection = _select_from_front_file(front_file, pool, cfg, search["total"])
     else:
         result = _run_search(pool, cfg, search)
-        selection = select_best(result.front, pool, total=search["total"], provenance=provenance)
+        selection = select_best(result.front, pool, total=search["total"])
     _write_json(out / "selection.json", _selection_payload(selection, provenance))
     if emit_union:
-        genome = EnsembleGenome.from_ids(selection.chosen, pool, "the selection", "chosen")
-        union = build_union(genome, pool, selection.total, search["seed"])
+        union = build_union(selection.genome, pool, selection.total, search["seed"])
         write_embeddings(union, out / "union.emb")
     click.echo(",".join(selection.chosen))
 
@@ -251,11 +251,10 @@ def cmd_select(manifest, front_file, emit_union, out, **search) -> None:
 @cli.command("quality")
 @click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--selection", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
-@click.option("--k", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@_search_options("k", "seed")
 @click.option("--include-all", is_flag=True, default=False, help="Add an all-generators union row.")
 @click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
-def cmd_quality(manifest, selection, k, seed, include_all, out) -> None:
+def cmd_quality(manifest, selection, include_all, out, **flags) -> None:
     """Per-generator (and union) FID, density, and coverage against the real set."""
     pool = load_pool(manifest)
     genome = total = None
@@ -287,12 +286,14 @@ def cmd_quality(manifest, selection, k, seed, include_all, out) -> None:
             raise DataError(
                 f"{source} gives member_count {member_count} for {genome.member_count} ids"
             )
-    rows = quality_rows(pool, k=k, seed=seed, union=genome, total=total, include_all=include_all)
+    rows = quality_rows(
+        pool, k=flags["k"], seed=flags["seed"], union=genome, total=total, include_all=include_all
+    )
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance(
         "quality",
         manifest=str(manifest), selection=str(selection) if selection else None,
-        k=k, seed=seed, include_all=include_all,
+        **_in_order(flags), include_all=include_all,
     )
     table = ["label,fid,density,coverage"]
     scatter = ["label,diversity,fidelity"]

@@ -7,9 +7,11 @@ real-set size, so the score stays comparable across ensemble sizes. Its
 overlap objective (Delta, "Inter-d") is the mean pairwise metric over the
 selected generators' sets, read from a precomputed symmetric matrix.
 
-``build_union`` draws generator g's share of a union as the first
-``take_g`` rows of one fixed permutation of its rows, seeded by
-(seed, g's id), so every union is a set of per-generator prefixes. For
+Every row sample of a generator g is a prefix of one fixed permutation of
+its rows, seeded by (seed, g's id): ``subsample_rows`` returns the first
+rows of that draw order, and ``build_union``, ``pairwise_matrix`` and the
+quality report all sample through it, so a union share, a pairwise
+subsample and a quality row of the same size hold the same rows. For
 density and coverage the evaluator therefore runs the real set's closed
 k-NN balls over each generator's rows once, in permutation order, and
 keeps two integer arrays per generator: ``prefix[t]``, the number of
@@ -181,21 +183,6 @@ def _check_pool(genome: EnsembleGenome, pool: Pool, ref: str | None = None) -> N
         raise ParameterError("genome was built against a different pool")
 
 
-def subsample_rows(dataset: EmbeddingSet, size: int, seed: int, tag: str) -> EmbeddingSet:
-    """Uniform without-replacement row sample, seeded by (seed, tag).
-
-    Returns the set unchanged when ``size`` covers all rows, so identical
-    inputs stay identical regardless of the seed.
-    """
-    if size >= dataset.rows:
-        return dataset
-    if size < 1:
-        raise ParameterError(f"subsample size must be >= 1, got {size}")
-    rng = seeded_stream(seed, tag, channel=1)
-    picked = np.sort(rng.permutation(dataset.rows)[:size])
-    return EmbeddingSet(dataset.data[picked], source_id=f"{dataset.source_id}[{size}]")
-
-
 def _member_takes(genome: EnsembleGenome, pool: Pool, total: int) -> list[tuple[int, int]]:
     """``quota_plan`` capped at each generator's row count.
 
@@ -218,15 +205,29 @@ def _member_takes(genome: EnsembleGenome, pool: Pool, total: int) -> list[tuple[
 
 
 def _draw_order(dataset: EmbeddingSet, seed: int, tag: str) -> np.ndarray:
-    """The fixed row permutation whose prefixes ``build_union`` samples."""
-    return seeded_stream(seed, tag, channel=0).permutation(dataset.rows)
+    """The fixed row permutation, seeded by (seed, tag), whose prefixes every sample takes."""
+    return seeded_stream(seed, tag).permutation(dataset.rows)
+
+
+def subsample_rows(dataset: EmbeddingSet, size: int, seed: int, tag: str) -> EmbeddingSet:
+    """The first ``size`` rows of the draw order seeded by (seed, tag), in row order.
+
+    Returns the set unchanged when ``size`` covers all rows, so identical
+    inputs stay identical regardless of the seed.
+    """
+    if size >= dataset.rows:
+        return dataset
+    if size < 1:
+        raise ParameterError(f"subsample size must be >= 1, got {size}")
+    picked = np.sort(_draw_order(dataset, seed, tag)[:size])
+    return EmbeddingSet(dataset.data[picked], source_id=f"{dataset.source_id}[{size}]")
 
 
 def build_union(genome: EnsembleGenome, pool: Pool, total: int, seed: int) -> EmbeddingSet:
     """Quota-sampled union of the selected generators' embeddings.
 
-    Rows are drawn without replacement from each selected generator using a
-    stream seeded by (seed, generator id), then concatenated in canonical
+    Each selected generator gives ``subsample_rows`` of its quota, seeded by
+    (seed, generator id), and the shares are concatenated in canonical
     order. A generator holding fewer rows than its quota contributes all of
     them and a ShortfallWarning is emitted.
     """
@@ -234,11 +235,7 @@ def build_union(genome: EnsembleGenome, pool: Pool, total: int, seed: int) -> Em
     parts = []
     for idx, take in _member_takes(genome, pool, total):
         record, dataset = pool.members[idx]
-        if take == dataset.rows:
-            parts.append(dataset.data)
-        else:
-            picked = np.sort(_draw_order(dataset, seed, record.id)[:take])
-            parts.append(dataset.data[picked])
+        parts.append(subsample_rows(dataset, take, seed, record.id).data)
     members = "+".join(pool.members[i][0].id for i in genome.indices())
     return EmbeddingSet(np.concatenate(parts, axis=0), source_id=f"union({members})")
 
@@ -286,7 +283,7 @@ def pairwise_matrix(
     if sample_per_generator < 1:
         raise ParameterError("sample_per_generator must be >= 1")
     subs = [
-        subsample_rows(es, min(sample_per_generator, es.rows), seed, record.id)
+        subsample_rows(es, sample_per_generator, seed, record.id)
         for record, es in pool.members
     ]
     values = np.zeros((n, n), dtype=np.float64)

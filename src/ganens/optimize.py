@@ -14,7 +14,7 @@ exactly with pairwise ``dominates``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -77,19 +77,18 @@ class SearchResult:
 
     front: ParetoFront
     evaluations: tuple[tuple[EnsembleGenome, ObjectiveVector], ...]
-    config: SearchConfig
 
 
 @dataclass(frozen=True)
 class SelectionManifest:
-    """The chosen ensemble with its sampling quotas and provenance."""
+    """The chosen ensemble, its genome and its sampling quotas."""
 
     chosen: tuple[str, ...]
     quotas: dict[str, int]
     objectives: ObjectiveVector
     front_size: int
     total: int
-    provenance: dict = field(default_factory=dict)
+    genome: EnsembleGenome
 
     def __post_init__(self) -> None:
         if not self.chosen:
@@ -319,7 +318,7 @@ def search(pool: Pool, evaluator, cfg: SearchConfig) -> SearchResult:
     else:
         _evolutionary(n, evaluate_bits, cfg)
 
-    return SearchResult(front=extract_front(evaluations), evaluations=tuple(evaluations), config=cfg)
+    return SearchResult(front=extract_front(evaluations), evaluations=tuple(evaluations))
 
 
 def _selection_key(entry: tuple[EnsembleGenome, ObjectiveVector]):
@@ -333,7 +332,6 @@ def selection_manifest(
     pool: Pool,
     front_size: int,
     total: int | None = None,
-    provenance: dict | None = None,
 ) -> SelectionManifest:
     """The manifest naming ``genome``'s members, in canonical order, with their quotas.
 
@@ -348,7 +346,7 @@ def selection_manifest(
         objectives=objectives,
         front_size=front_size,
         total=budget,
-        provenance=provenance or {},
+        genome=genome,
     )
 
 
@@ -356,7 +354,6 @@ def select_best(
     front: ParetoFront,
     pool: Pool,
     total: int | None = None,
-    provenance: dict | None = None,
 ) -> SelectionManifest:
     """Pick the front entry with maximal effective delta and plan its quotas.
 
@@ -366,7 +363,7 @@ def select_best(
     if not front.entries:
         raise ParameterError("cannot select from an empty front")
     genome, objectives = min(front.entries, key=_selection_key)
-    return selection_manifest(genome, objectives, pool, len(front.entries), total, provenance)
+    return selection_manifest(genome, objectives, pool, len(front.entries), total)
 
 
 def uniobjective_search(
@@ -374,7 +371,6 @@ def uniobjective_search(
     evaluator,
     cfg: SearchConfig,
     total: int | None = None,
-    provenance: dict | None = None,
 ) -> SelectionManifest:
     """Ablation: same candidate generation, selection by delta alone.
 
@@ -384,6 +380,4 @@ def uniobjective_search(
     """
     result = search(pool, evaluator, cfg)
     genome, objectives = min(result.evaluations, key=_selection_key)
-    return selection_manifest(
-        genome, objectives, pool, len(result.front.entries), total, provenance
-    )
+    return selection_manifest(genome, objectives, pool, len(result.front.entries), total)

@@ -91,7 +91,8 @@ def quality_rows(
     """FID, density, and coverage against the real set, one row per label.
 
     Rows cover each generator (subsampled to at most the real-set size for
-    comparability), then the ``union`` genome's union of ``total`` rows
+    comparability, so the row equals its singleton union at that size), then
+    the ``union`` genome's union of ``total`` rows
     (default the real-set size) when a genome is given, then an
     all-generators union when ``include_all`` is set, of the real-set size
     or one row per generator, whichever is larger.
@@ -107,8 +108,7 @@ def quality_rows(
 
     rows = []
     for record, dataset in pool.members:
-        candidate = subsample_rows(dataset, min(dataset.rows, pool.real.rows), seed, record.id)
-        rows.append(row(record.id, candidate))
+        rows.append(row(record.id, subsample_rows(dataset, pool.real.rows, seed, record.id)))
     if union is not None:
         budget = pool.real.rows if total is None else total
         rows.append(row("union", build_union(union, pool, budget, seed)))

@@ -13,12 +13,15 @@ from ganens import (
     ParameterError,
     ShortfallWarning,
     build_union,
+    density_coverage,
     frechet_distance,
     gaussian_summary,
+    harmonic_d,
     inter_d,
     intra_d,
     pairwise_matrix,
     quota_plan,
+    subsample_rows,
 )
 from ganens.objective import PairwiseMatrix
 
@@ -120,6 +123,52 @@ class TestBuildUnion:
         pool = self._pool()
         with pytest.raises(ParameterError, match="different pool"):
             build_union(EnsembleGenome((1, 1), "deadbeef"), pool, 10, seed=0)
+
+
+class TestOneSampler:
+    """Every row sample of a generator is a prefix of its one seeded draw order."""
+
+    def _pool(self):
+        rng = np.random.default_rng(11)
+        sets = {
+            f"g{i}": rng.normal(size=(40, 5)) * rng.uniform(0.5, 2, 5) + rng.normal(0, 1, 5)
+            for i in range(3)
+        }
+        return make_pool(sets, rng.normal(size=(20, 5)))
+
+    def _singleton_union(self, pool, idx, total, seed):
+        single = EnsembleGenome.from_indices([idx], pool.size, pool.ref)
+        return build_union(single, pool, total, seed)
+
+    @pytest.mark.parametrize("size", [1, 13, 39])
+    def test_subsample_is_the_singleton_union(self, size):
+        pool = self._pool()
+        for idx, (record, dataset) in enumerate(pool.members):
+            sample = subsample_rows(dataset, size, 4, record.id)
+            assert sample.rows == size
+            assert np.array_equal(sample.data, self._singleton_union(pool, idx, size, 4).data)
+
+    def test_subsample_covering_every_row_is_the_set(self):
+        pool = self._pool()
+        record, dataset = pool.members[0]
+        assert subsample_rows(dataset, 40, 4, record.id) is dataset
+
+    @pytest.mark.parametrize("kind", ["dnc", "fid"])
+    def test_pairwise_entries_score_the_singleton_unions(self, kind):
+        pool = self._pool()
+        matrix = pairwise_matrix(pool, MetricConfig(kind=kind, k=3), sample_per_generator=17, seed=4)
+        unions = [
+            self._singleton_union(pool, i, 17, 4).data.astype(np.float64) for i in range(pool.size)
+        ]
+        for i in range(pool.size):
+            for j in range(i + 1, pool.size):
+                a, b = unions[i], unions[j]
+                if kind == "dnc":
+                    forward = harmonic_d(*density_coverage(a, b, 3))
+                    want = (forward + harmonic_d(*density_coverage(b, a, 3))) / 2.0
+                else:
+                    want = frechet_distance(gaussian_summary(a), gaussian_summary(b))
+                assert matrix.values[i, j] == matrix.values[j, i] == want
 
 
 class TestIntraD:

@@ -97,6 +97,20 @@ class TestQualityRows:
         assert rows["far"].density == 0.0
         assert rows["far"].fid > 100.0
 
+    def test_generator_row_is_its_singleton_union(self):
+        # Generators three times the real-set size are subsampled to it; the
+        # union of a singleton at the default total holds the same rows.
+        rng = np.random.default_rng(3)
+        pool = make_pool(
+            {"a": rng.normal(size=(90, 4)), "b": rng.normal(size=(90, 4)) + 0.5},
+            rng.normal(size=(30, 4)),
+        )
+        for idx, (record, _) in enumerate(pool.members):
+            single = EnsembleGenome.from_indices([idx], pool.size, pool.ref)
+            rows = {r.label: r for r in quality_rows(pool, k=5, seed=2, union=single)}
+            own, union = rows[record.id], rows["union"]
+            assert (own.fid, own.density, own.coverage) == (union.fid, union.density, union.coverage)
+
     def test_include_all_adds_union_row(self):
         pool = self._pool()
         rows = [r.label for r in quality_rows(pool, k=5, seed=0, include_all=True)]
