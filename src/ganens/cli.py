@@ -22,7 +22,6 @@ from .objective import (
     ObjectiveVector,
     build_union,
     pairwise_matrix,
-    quota_plan,
 )
 from .optimize import ParetoFront, SearchConfig, SelectionManifest, search, select_best
 from .report import compute_gap, quality_rows
@@ -243,7 +242,7 @@ def cmd_select(manifest, front_file, emit_union, out, **search) -> None:
         selection = select_best(result.front, pool, total=search["total"])
     _write_json(out / "selection.json", _selection_payload(selection, provenance))
     if emit_union:
-        union = build_union(selection.genome, pool, selection.total, search["seed"])
+        union = build_union(selection.quotas, pool, search["seed"])
         write_embeddings(union, out / "union.emb")
     click.echo(",".join(selection.chosen))
 
@@ -257,7 +256,7 @@ def cmd_select(manifest, front_file, emit_union, out, **search) -> None:
 def cmd_quality(manifest, selection, include_all, out, **flags) -> None:
     """Per-generator (and union) FID, density, and coverage against the real set."""
     pool = load_pool(manifest)
-    genome = total = None
+    quotas = None
     if selection is not None:
         source = f"selection file '{selection}'"
         doc = read_json(selection, "selection file")
@@ -276,18 +275,16 @@ def cmd_quality(manifest, selection, include_all, out, **flags) -> None:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{source} is malformed: {exc}") from None
         genome = EnsembleGenome.from_ids(chosen, pool, source, "chosen")
-        # quality_rows draws the union by quota_plan, so other quotas would be ignored.
-        plan = {pool.ids[i]: q for i, q in quota_plan(genome, total)}
-        if quotas != plan:
-            raise DataError(
-                f"{source} has quotas {quotas}, but its chosen ids and total give {plan}"
-            )
+        if set(quotas) != set(chosen):
+            raise DataError(f"{source} has quotas for {sorted(quotas)}, but chooses {chosen}")
+        if sum(quotas.values()) != total:
+            raise DataError(f"{source} has quotas summing to {sum(quotas.values())}, not {total}")
         if member_count != genome.member_count:
             raise DataError(
                 f"{source} gives member_count {member_count} for {genome.member_count} ids"
             )
     rows = quality_rows(
-        pool, k=flags["k"], seed=flags["seed"], union=genome, total=total, include_all=include_all
+        pool, k=flags["k"], seed=flags["seed"], union=quotas, include_all=include_all
     )
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -183,11 +183,10 @@ def _check_pool(genome: EnsembleGenome, pool: Pool, ref: str | None = None) -> N
         raise ParameterError("genome was built against a different pool")
 
 
-def _member_takes(genome: EnsembleGenome, pool: Pool, total: int) -> list[tuple[int, int]]:
-    """``quota_plan`` capped at each generator's row count.
+def capped_plan(genome: EnsembleGenome, pool: Pool, total: int) -> list[tuple[int, int]]:
+    """The rows each member gives: ``quota_plan`` capped at its row count.
 
-    A generator holding fewer rows than its quota gives all of them, and a
-    ShortfallWarning names it at the caller of this function's caller.
+    A member short of its quota gives all its rows, and a ShortfallWarning names it.
     """
     takes = []
     for idx, quota in quota_plan(genome, total):
@@ -198,7 +197,6 @@ def _member_takes(genome: EnsembleGenome, pool: Pool, total: int) -> list[tuple[
                 f"generator '{record.id}' holds {dataset.rows} rows but quota is {quota}; "
                 f"union will be short by {quota - take}",
                 ShortfallWarning,
-                stacklevel=3,
             )
         takes.append((idx, take))
     return takes
@@ -223,21 +221,25 @@ def subsample_rows(dataset: EmbeddingSet, size: int, seed: int, tag: str) -> Emb
     return EmbeddingSet(dataset.data[picked], source_id=f"{dataset.source_id}[{size}]")
 
 
-def build_union(genome: EnsembleGenome, pool: Pool, total: int, seed: int) -> EmbeddingSet:
-    """Quota-sampled union of the selected generators' embeddings.
+def build_union(quotas: dict[str, int], pool: Pool, seed: int) -> EmbeddingSet:
+    """The union of ``quotas[g]`` rows of each generator g that ``quotas`` names.
 
-    Each selected generator gives ``subsample_rows`` of its quota, seeded by
-    (seed, generator id), and the shares are concatenated in canonical
-    order. A generator holding fewer rows than its quota contributes all of
-    them and a ShortfallWarning is emitted.
+    Each share is ``subsample_rows`` of g, seeded by (seed, g's id), and the
+    shares are concatenated in canonical order, so the union holds exactly
+    ``sum(quotas.values())`` rows. A count must lie between 1 and g's row
+    count; ``capped_plan`` gives the counts of a genome.
     """
-    _check_pool(genome, pool)
+    if not quotas or not set(quotas) <= set(pool.ids):
+        raise ParameterError(f"union quotas must name generators of the pool, got {sorted(quotas)}")
     parts = []
-    for idx, take in _member_takes(genome, pool, total):
-        record, dataset = pool.members[idx]
+    for record, dataset in pool.members:
+        take = quotas.get(record.id)
+        if take is None:
+            continue
+        if not 1 <= take <= dataset.rows:
+            raise ParameterError(f"quota {take} of '{record.id}' is not in 1..{dataset.rows}")
         parts.append(subsample_rows(dataset, take, seed, record.id).data)
-    members = "+".join(pool.members[i][0].id for i in genome.indices())
-    return EmbeddingSet(np.concatenate(parts, axis=0), source_id=f"union({members})")
+    return EmbeddingSet(np.concatenate(parts, axis=0), source_id=f"union({'+'.join(quotas)})")
 
 
 def intra_d(
@@ -248,8 +250,10 @@ def intra_d(
     total: int | None = None,
 ) -> float:
     """Metric between the real set and the genome's quota-sampled union."""
-    budget = pool.real.rows if total is None else total
-    return metric_d(pool.real, build_union(genome, pool, budget, seed), cfg)
+    _check_pool(genome, pool)
+    plan = capped_plan(genome, pool, pool.real.rows if total is None else total)
+    quotas = {pool.members[i][0].id: take for i, take in plan}
+    return metric_d(pool.real, build_union(quotas, pool, seed), cfg)
 
 
 def pairwise_matrix(
@@ -393,11 +397,12 @@ class EnsembleEvaluator:
 
     def _intra(self, genome: EnsembleGenome) -> float:
         if self.cfg.kind is MetricKind.FRECHET:
-            # evaluate has checked the genome; a ref-less copy skips the rehash.
-            union = build_union(replace(genome, pool_ref=""), self.pool, self.total, self.seed)
+            plan = capped_plan(genome, self.pool, self.total)
+            quotas = {self.pool.members[i][0].id: take for i, take in plan}
+            union = build_union(quotas, self.pool, self.seed)
             summary = gaussian_summary(self._to_frame(union))
             return frechet_distance(self._real_summary, summary, self._real_root)
-        members, takes = np.array(_member_takes(genome, self.pool, self.total)).T
+        members, takes = np.array(capped_plan(genome, self.pool, self.total)).T
         hits = int(self._prefix[members, takes].sum())
         covered = int(np.count_nonzero((self._first[members] < takes[:, None]).any(axis=0)))
         dns = hits / (self.cfg.k * int(takes.sum()))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .metrics import Orientation
-from .objective import EnsembleGenome, ObjectiveVector, quota_plan
+from .objective import EnsembleGenome, ObjectiveVector, capped_plan
 from .store import Pool
 
 EXHAUSTIVE_CAP = 20
@@ -81,20 +81,19 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class SelectionManifest:
-    """The chosen ensemble, its genome and its sampling quotas."""
+    """The chosen ensemble and its quotas, the rows each member gives to its union."""
 
     chosen: tuple[str, ...]
     quotas: dict[str, int]
     objectives: ObjectiveVector
     front_size: int
     total: int
-    genome: EnsembleGenome
 
     def __post_init__(self) -> None:
         if not self.chosen:
             raise ParameterError("selection must keep at least one generator")
         if sum(self.quotas.values()) != self.total:
-            raise ParameterError("quotas must sum to the configured total")
+            raise ParameterError("quotas must sum to the union's total")
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -335,18 +334,17 @@ def selection_manifest(
 ) -> SelectionManifest:
     """The manifest naming ``genome``'s members, in canonical order, with their quotas.
 
-    Members and quotas both come from ``quota_plan``; ``total`` defaults to
-    the real-set size.
+    Quotas are ``capped_plan``'s rows at ``total`` (default the real-set size), and the
+    manifest's total is their sum: the union's row count, short of ``total`` on a shortfall.
     """
     budget = pool.real.rows if total is None else int(total)
-    plan = quota_plan(genome, budget)
+    quotas = {pool.members[i][0].id: take for i, take in capped_plan(genome, pool, budget)}
     return SelectionManifest(
-        chosen=tuple(pool.members[i][0].id for i, _ in plan),
-        quotas={pool.members[i][0].id: q for i, q in plan},
+        chosen=tuple(quotas),
+        quotas=quotas,
         objectives=objectives,
         front_size=front_size,
-        total=budget,
-        genome=genome,
+        total=sum(quotas.values()),
     )
 
 

@@ -14,7 +14,7 @@ from .metrics import (
     gaussian_summary,
     knn_radii,
 )
-from .objective import EnsembleGenome, build_union, subsample_rows
+from .objective import EnsembleGenome, build_union, capped_plan, subsample_rows
 from .store import Pool
 
 
@@ -84,19 +84,18 @@ def quality_rows(
     pool: Pool,
     k: int = 5,
     seed: int = 0,
-    union: EnsembleGenome | None = None,
-    total: int | None = None,
+    union: dict[str, int] | None = None,
     include_all: bool = False,
 ) -> list[QualityRow]:
     """FID, density, and coverage against the real set, one row per label.
 
     Rows cover each generator (subsampled to at most the real-set size for
     comparability, so the row equals its singleton union at that size), then
-    the ``union`` genome's union of ``total`` rows
-    (default the real-set size) when a genome is given, then an
-    all-generators union when ``include_all`` is set, of the real-set size
-    or one row per generator, whichever is larger.
+    the union of ``union[g]`` rows of each generator g it names, then (with
+    ``include_all``) the ``capped_plan`` union of every generator at the
+    real-set size or one row per generator, whichever is larger.
     """
+    drawn = None if union is None else build_union(union, pool, seed)  # checked before scoring
     radii = knn_radii(pool.real, k)
     real_summary = gaussian_summary(pool.real)
     real_root = covariance_root(real_summary)
@@ -109,10 +108,10 @@ def quality_rows(
     rows = []
     for record, dataset in pool.members:
         rows.append(row(record.id, subsample_rows(dataset, pool.real.rows, seed, record.id)))
-    if union is not None:
-        budget = pool.real.rows if total is None else total
-        rows.append(row("union", build_union(union, pool, budget, seed)))
+    if drawn is not None:
+        rows.append(row("union", drawn))
     if include_all:
-        genome = EnsembleGenome((1,) * pool.size, pool.ref)
-        rows.append(row("all", build_union(genome, pool, max(pool.real.rows, pool.size), seed)))
+        plan = capped_plan(EnsembleGenome((1,) * pool.size), pool, max(pool.real.rows, pool.size))
+        quotas = {pool.members[i][0].id: take for i, take in plan}
+        rows.append(row("all", build_union(quotas, pool, seed)))
     return rows

@@ -11,9 +11,11 @@ from ganens import (
     ObjectiveVector,
     Orientation,
     ParetoFront,
+    ShortfallWarning,
     canonical_fixture_path,
     emit_pool,
     load_pool,
+    quality_rows,
     read_embeddings,
     select_best,
 )
@@ -267,6 +269,36 @@ class TestSelect:
             counts[gid] = sum(row.tobytes() in own for row in union)
         assert counts == doc["quotas"]
 
+    def test_short_member_round_trip(self, tmp_path):
+        # Generator A holds 100 rows, short of its 300-row share of the real set's 600.
+        spec = json.loads(canonical_fixture_path().read_text())
+        next(g for g in spec["generators"] if g["id"] == "A")["samples"] = 100
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["toy", str(tmp_path / "spec.json"), "--out", str(tmp_path / "pool")]) == 0
+        manifest = tmp_path / "pool" / "manifest.json"
+        front = tmp_path / "front.json"
+        front.write_text(json.dumps({"orientation": "higher", "front": [
+            {"ids": ["A", "B"], "intra": 1.0, "inter": 0.5, "member_count": 2}]}))
+        with pytest.warns(ShortfallWarning, match="'A' holds 100 rows but quota is 300"):
+            code = main(["select", "--front", str(front), "--manifest", str(manifest),
+                         "--emit-union", "--out", str(tmp_path / "sel")])
+        assert code == 0
+        doc = json.loads((tmp_path / "sel" / "selection.json").read_text())
+        assert doc["quotas"] == {"A": 100, "B": 300}
+        assert sum(doc["quotas"].values()) == doc["total"] == 400
+        union = read_embeddings(tmp_path / "sel" / "union.emb").data
+        assert union.shape[0] == doc["total"]
+        pool = load_pool(manifest)
+        counts = {}
+        for record, dataset in pool.members:
+            own = {row.tobytes() for row in dataset.data}
+            counts[record.id] = sum(row.tobytes() in own for row in union)
+        assert {g: n for g, n in counts.items() if n} == doc["quotas"]
+        code = main(["quality", "--manifest", str(manifest),
+                     "--selection", str(tmp_path / "sel" / "selection.json"),
+                     "--out", str(tmp_path / "q")])
+        assert code == 0
+
     @pytest.mark.parametrize(
         "ids, detail",
         [(["g-5000", "g-7"], "'g-7'"), (["g-5000", "g-5000"], "twice")],
@@ -424,6 +456,20 @@ class TestQuality:
         assert scatter[0] == "label,diversity,fidelity"
         assert len(scatter) == len(lines)
 
+    def test_in_range_quotas_are_drawn(self, small_manifest, tmp_path):
+        # Quotas other than the even split are drawn as written, not re-derived.
+        doc = {
+            "chosen": ["s0", "s2"], "quotas": {"s0": 79, "s2": 1}, "front_size": 1, "total": 80,
+            "objectives": {"intra": 0.5, "inter": 0.0, "member_count": 2},
+        }
+        (tmp_path / "selection.json").write_text(json.dumps(doc))
+        code = main(["quality", "--manifest", str(small_manifest),
+                     "--selection", str(tmp_path / "selection.json"), "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "quality.csv").read_text().strip().split("\n")
+        want = quality_rows(load_pool(small_manifest), union=doc["quotas"])[-1]
+        assert lines[-1] == f"union,{want.fid!r},{want.density!r},{want.coverage!r}"
+
     def test_include_all_with_more_generators_than_real_rows(self, tmp_path):
         from ganens import EmbeddingSet, write_embeddings
 
@@ -541,11 +587,10 @@ class TestExitCodes:
             ({"quotas": "s0"}, "'quotas' must map ids to counts"),
             ({"chosen": ["s0", "nope"], "quotas": {"s0": 40, "nope": 40}},
              "names generators not in the pool: ['nope']"),
-            ({"quotas": {"s1": 80}},
-             "has quotas {'s1': 80}, but its chosen ids and total give {'s0': 80}"),
-            ({"chosen": ["s0", "s2"], "quotas": {"s0": 79, "s2": 1}},
-             "has quotas {'s0': 79, 's2': 1}, but its chosen ids and total give "
-             "{'s0': 40, 's2': 40}"),
+            ({"quotas": {"s1": 80}}, "has quotas for ['s1'], but chooses ['s0']"),
+            ({"quotas": {"s0": 70}}, "has quotas summing to 70, not 80"),
+            ({"quotas": {"s0": 0}, "total": 0}, "quota 0 of 's0' is not in 1..80"),
+            ({"quotas": {"s0": 81}, "total": 81}, "quota 81 of 's0' is not in 1..80"),
             ({"chosen": ["s0", "s0"]}, "names a generator twice in 'chosen'"),
             ({"total": 80.7}, "total must be an integer, got 80.7"),
             ({"quotas": {"s0": 80.5}}, "quota of 's0' must be an integer, got 80.5"),
@@ -555,8 +600,9 @@ class TestExitCodes:
              "member_count 5 for 1 ids"),
         ],
         ids=["quotas-list", "quotas-string", "unknown-id", "quotas-other-ids",
-             "quotas-other-counts", "repeated-id", "total-fraction", "quota-fraction",
-             "chosen-string", "objective-infinite", "member-count-disagrees"],
+             "quotas-off-total", "quota-zero", "quota-above-rows", "repeated-id",
+             "total-fraction", "quota-fraction", "chosen-string", "objective-infinite",
+             "member-count-disagrees"],
     )
     def test_bad_selection_is_data_error(self, small_manifest, tmp_path, capsys, change, detail):
         doc = {

@@ -19,17 +19,24 @@ from ganens import (
     harmonic_d,
     inter_d,
     intra_d,
+    metric_d,
     pairwise_matrix,
     quota_plan,
     subsample_rows,
 )
-from ganens.objective import PairwiseMatrix
+from ganens.objective import PairwiseMatrix, capped_plan
+from ganens.optimize import selection_manifest
 
 from conftest import make_pool, standardized_by_real
 
 
 def genome(bits, pool=None):
     return EnsembleGenome(tuple(bits), pool.ref if pool is not None else "")
+
+
+def plan_quotas(bits, pool, total):
+    """The id-keyed rows ``capped_plan`` gives each member of ``bits`` for a union of ``total``."""
+    return {pool.ids[i]: take for i, take in capped_plan(genome(bits, pool), pool, total)}
 
 
 class TestGenome:
@@ -96,33 +103,52 @@ class TestBuildUnion:
 
     def test_even_split(self):
         pool = self._pool()
-        union = build_union(genome((1, 1), pool), pool, 10, seed=7)
+        union = build_union(plan_quotas((1, 1), pool, 10), pool, seed=7)
         assert union.rows == 10
 
     def test_deterministic(self):
         pool = self._pool()
-        first = build_union(genome((1, 1), pool), pool, 6, seed=7)
-        second = build_union(genome((1, 1), pool), pool, 6, seed=7)
+        first = build_union(plan_quotas((1, 1), pool, 6), pool, seed=7)
+        second = build_union(plan_quotas((1, 1), pool, 6), pool, seed=7)
         assert np.array_equal(first.data, second.data)
-        different = build_union(genome((1, 1), pool), pool, 6, seed=8)
+        different = build_union(plan_quotas((1, 1), pool, 6), pool, seed=8)
         assert not np.array_equal(first.data, different.data)
 
     def test_shortfall_warning(self):
         rng = np.random.default_rng(2)
         pool = make_pool({"tiny": rng.normal(size=(3, 3))}, rng.normal(size=(8, 3)))
         with pytest.warns(ShortfallWarning, match="short by 2"):
-            union = build_union(genome((1,), pool), pool, 5, seed=0)
+            union = build_union(plan_quotas((1,), pool, 5), pool, seed=0)
         assert union.rows == 3
 
     def test_take_all_returns_rows_in_order(self):
         pool = self._pool()
-        union = build_union(genome((1, 0), pool), pool, 10, seed=3)
+        union = build_union(plan_quotas((1, 0), pool, 10), pool, seed=3)
         assert np.array_equal(union.data, pool.members[0][1].data)
 
     def test_wrong_pool_rejected(self):
+        # build_union takes no genome; intra_d checks the genome it plans from.
         pool = self._pool()
         with pytest.raises(ParameterError, match="different pool"):
-            build_union(EnsembleGenome((1, 1), "deadbeef"), pool, 10, seed=0)
+            intra_d(EnsembleGenome((1, 1), "deadbeef"), pool, MetricConfig(), seed=0)
+
+    @pytest.mark.parametrize(
+        "quotas, detail",
+        [({}, "must name generators of the pool"), ({"a": 5, "z": 5}, "must name generators"),
+         ({"a": 0}, "quota 0 of 'a' is not in 1..10"), ({"b": 11}, "quota 11 of 'b' is not in")],
+        ids=["empty", "unknown-id", "zero", "above-rows"],
+    )
+    def test_counts_outside_the_pool_rejected(self, quotas, detail):
+        # A union holds exactly the rows its counts name, or is not built.
+        with pytest.raises(ParameterError, match=detail):
+            build_union(quotas, self._pool(), seed=0)
+
+    def test_shares_follow_canonical_order(self):
+        pool = self._pool()
+        union = build_union({"b": 4, "a": 6}, pool, seed=2)
+        assert union.rows == 10
+        assert np.array_equal(union.data[:6], subsample_rows(pool.members[0][1], 6, 2, "a").data)
+        assert np.array_equal(union.data[6:], subsample_rows(pool.members[1][1], 4, 2, "b").data)
 
 
 class TestOneSampler:
@@ -137,8 +163,7 @@ class TestOneSampler:
         return make_pool(sets, rng.normal(size=(20, 5)))
 
     def _singleton_union(self, pool, idx, total, seed):
-        single = EnsembleGenome.from_indices([idx], pool.size, pool.ref)
-        return build_union(single, pool, total, seed)
+        return build_union({pool.ids[idx]: total}, pool, seed)
 
     @pytest.mark.parametrize("size", [1, 13, 39])
     def test_subsample_is_the_singleton_union(self, size):
@@ -431,6 +456,42 @@ class TestEvaluatorEqualsReference:
         evaluator = EnsembleEvaluator(pool, MetricConfig(kind=kind, k=2), seed=0, total=5)
         with pytest.warns(ShortfallWarning, match="short by 2"):
             evaluator.evaluate(genome((1,), pool))
+
+
+class TestOnePlan:
+    """One ensemble, one plan: the manifest's quotas are the rows of every union drawn for it."""
+
+    @settings(max_examples=200)
+    @given(case=evaluator_cases(), kind=st.sampled_from(["dnc", "fid"]), seed=st.integers(0, 3))
+    def test_manifest_quotas_are_the_union(self, case, kind, seed):
+        pool, k, genomes, total = case
+        cfg = MetricConfig(kind=kind, k=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShortfallWarning)
+            evaluator = EnsembleEvaluator(pool, cfg, seed=seed, total=total)
+            for g in genomes:
+                objectives = ObjectiveVector(0.0, 0.0, g.member_count, cfg)
+                selection = selection_manifest(g, objectives, pool, 1, total)
+                quotas = selection.quotas
+                shares = quota_plan(g, pool.real.rows if total is None else total)
+                assert quotas == {pool.ids[i]: min(q, pool.members[i][1].rows) for i, q in shares}
+                assert sum(quotas.values()) == selection.total
+                union = build_union(quotas, pool, seed)
+                assert union.rows == selection.total
+                start = 0
+                for record, dataset in pool.members:
+                    if record.id in quotas:
+                        share = subsample_rows(dataset, quotas[record.id], seed, record.id)
+                        assert share.rows == quotas[record.id]
+                        assert np.array_equal(union.data[start : start + share.rows], share.data)
+                        start += share.rows
+                try:
+                    want = metric_d(pool.real, union, cfg)
+                except ParameterError:  # a one-row union has no covariance
+                    with pytest.raises(ParameterError):
+                        evaluator.evaluate(g)
+                    continue
+                assert evaluator.evaluate(g).intra == want
 
 
 class TestPermutationSafety:

@@ -12,6 +12,7 @@ from ganens import (
     ObjectiveVector,
     ParameterError,
     SearchConfig,
+    ShortfallWarning,
     dominates,
     extract_front,
     search,
@@ -375,9 +376,9 @@ def test_search_golden_digest(generators, kind, config, archive_digest, front_di
 
 
 class TestSelectBest:
-    def _pool_for_ids(self, n):
+    def _pool_for_ids(self, n, rows=20):
         rng = np.random.default_rng(6)
-        sets = {f"g{i}": rng.normal(size=(20, 3)) for i in range(n)}
+        sets = {f"g{i}": rng.normal(size=(rows, 3)) for i in range(n)}
         return make_pool(sets, rng.normal(size=(20, 3)))
 
     def test_max_delta_wins(self):
@@ -403,11 +404,14 @@ class TestSelectBest:
         assert selection.chosen == ("g1", "g2")
 
     def test_quotas_sum_to_total(self):
-        pool = self._pool_for_ids(3)
         front = extract_front([entry((1, 1, 1), 0.8, 0.1)])
-        selection = select_best(front, pool, total=100)
-        assert sum(selection.quotas.values()) == 100
+        selection = select_best(front, self._pool_for_ids(3, rows=40), total=100)
+        assert sum(selection.quotas.values()) == selection.total == 100
         assert sorted(selection.quotas.values(), reverse=True) == [34, 33, 33]
+        # 20-row generators give all their rows: the quotas and total are what the union holds.
+        with pytest.warns(ShortfallWarning):
+            short = select_best(front, self._pool_for_ids(3), total=100)
+        assert short.quotas == {"g0": 20, "g1": 20, "g2": 20} and short.total == 60
 
     def test_singleton_front(self):
         pool = self._pool_for_ids(2)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ganens import (
-    EnsembleGenome,
     ParameterError,
     compute_gap,
     gmean_from_confusion,
@@ -82,8 +81,7 @@ class TestQualityRows:
 
     def test_union_equal_to_real_hits_self_values(self):
         pool = self._pool()
-        genome = EnsembleGenome.from_ids(["same"], pool, "test", "ids")
-        rows = {r.label: r for r in quality_rows(pool, k=5, seed=0, union=genome, total=50)}
+        rows = {r.label: r for r in quality_rows(pool, k=5, seed=0, union={"same": 50})}
         union = rows["union"]
         # a set against itself: coverage 1, density (k+1)/k, FID ~ 0
         assert union.coverage == 1.0
@@ -99,15 +97,15 @@ class TestQualityRows:
 
     def test_generator_row_is_its_singleton_union(self):
         # Generators three times the real-set size are subsampled to it; the
-        # union of a singleton at the default total holds the same rows.
+        # union of a singleton's real-set-size quota holds the same rows.
         rng = np.random.default_rng(3)
         pool = make_pool(
             {"a": rng.normal(size=(90, 4)), "b": rng.normal(size=(90, 4)) + 0.5},
             rng.normal(size=(30, 4)),
         )
-        for idx, (record, _) in enumerate(pool.members):
-            single = EnsembleGenome.from_indices([idx], pool.size, pool.ref)
-            rows = {r.label: r for r in quality_rows(pool, k=5, seed=2, union=single)}
+        for record, _ in pool.members:
+            union = {record.id: pool.real.rows}
+            rows = {r.label: r for r in quality_rows(pool, k=5, seed=2, union=union)}
             own, union = rows[record.id], rows["union"]
             assert (own.fid, own.density, own.coverage) == (union.fid, union.density, union.coverage)
 
