@@ -21,10 +21,10 @@ duplicate points. Every ball decision and every k-NN radius equals the one
 dimensions in order ``0 + (x0-y0)^2 + (x1-y1)^2 + ...``, then ``sqrt``.
 
 The decisions are taken on a faster estimate with a proven error bound.
-With c the mean of the reference rows, a = fl(x - c) and b = fl(y - c),
-one matrix product (BLAS GEMM) of the rows ``[a, |a|^2, 1]`` and
-``[-2b, 1, |b|^2]`` gives ``s^ = |a|^2 + |b|^2 - 2 a.b`` for a block of
-rows at once. Let u = 2^-53 be the unit roundoff, D the dimension and
+With c a fixed centre (the mean of the reference rows, or as below),
+a = fl(x - c) and b = fl(y - c), one matrix product (BLAS GEMM) of the rows
+``[a, |a|^2, 1]`` and ``[-2b, 1, |b|^2]`` gives ``s^ = |a|^2 + |b|^2 - 2 a.b``
+for a block of rows at once. Let u = 2^-53 be the unit roundoff, D the dimension and
 gamma_n = n u / (1 - n u). A dot product of length n summed in any order,
 fused or not, errs by at most gamma_n times the sum of its terms' absolute
 values (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1).
@@ -64,17 +64,20 @@ The bound assumes that no squared norm overflows, which float32 data (as
 ``EmbeddingSet`` stores it) cannot reach. A NaN estimate or bound always
 falls in the band and is recomputed.
 
-``mutual_density_coverage`` serves one row of a pairwise matrix: one
-reference set against all its candidate sets, in both argument orders. It
-builds the reference's rows ``[a, |a|^2, 1]`` once. The candidates are
-stacked in consecutive chunks of at most ``_CHUNK_ENTRIES`` right-hand
-entries (rows times D + 2; 2^16, or 512 KiB of float64), a set larger than
-that being a chunk by itself; each chunk is converted to float64 and built
-into rows ``[-2b, 1, |b|^2]`` once, and each pair multiplies views of them.
-The rows are the numbers a single pair would build, so every estimate,
-decision and recompute is the same. The cap keeps a chunk's copies small:
-without it, a chunk holds every later set at once, and the peak resident
-memory of ``optimize`` on a P=20, N=350, D=64 pool rises from 45 to 50 MB.
+``pairwise_density_coverage`` takes both orders of every pair of sets. All
+its rows share one centre, the real set's mean in the frame: c enters the
+bound only through the rounding of x - c and y - c, so any fixed c keeps
+it, and each set's rows depend on the set alone. Consecutive whole sets are
+stacked in chunks of at most ``_CHUNK_ENTRIES`` right-hand entries (rows
+times D + 2; a larger set is a chunk by itself), each framed and built into
+rows once. Each earlier set takes one product against all the chunk's later
+columns, in row blocks of ``_BLOCK_ENTRIES``. In a block, one comparison
+per ball side lists the entries not above r^2 + band, NaN included (2.2% on
+a P=110, N=100, D=8 pool); only those are decided, as above. A ball's
+coverage is an ``any`` over all blocks. The caps keep every array far below
+the pool's size. The estimate buffer and the mask are allocated once per
+matrix and written through ``out=``: a fresh 2 MiB result per block lies
+above glibc's mmap threshold (128 KiB), so its pages would fault in anew.
 """
 from __future__ import annotations
 
@@ -230,10 +233,8 @@ def _right_rows(y: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return right, right[:, dim + 1] * (coef * _UNIT_ROUNDOFF)
 
 
-def _estimate_blocks(
-    left: np.ndarray, slack_x: np.ndarray, right: np.ndarray, slack_y: np.ndarray
-):
-    """Row blocks of estimated squared distances between the rows behind ``left`` and ``right``.
+def _pair_blocks(x: np.ndarray, y: np.ndarray):
+    """Row blocks of estimated squared distances between x and y, centred on the mean of x.
 
     ``[a, |a|^2, 1] . [-2b, 1, |b|^2] = |a|^2 + |b|^2 - 2 a.b`` in one
     product. Yields ``(start, estimate, slack_x, slack_y)``: ``estimate``
@@ -241,15 +242,12 @@ def _estimate_blocks(
     at most ``slack_x[i] + slack_y[j]`` entry by entry, against the squared
     distance s that ``pairwise_distances`` rounds to (module docstring).
     """
+    centre = x.mean(axis=0)
+    left, slack_x = _left_rows(x, centre)
+    right, slack_y = _right_rows(y, centre)
     step = max(1, _BLOCK_ENTRIES // right.shape[0])
     for start in range(0, left.shape[0], step):
         yield start, left[start : start + step] @ right.T, slack_x[start : start + step], slack_y
-
-
-def _pair_blocks(x: np.ndarray, y: np.ndarray):
-    """``_estimate_blocks`` between x and y, centred on the mean of x."""
-    centre = x.mean(axis=0)
-    return _estimate_blocks(*_left_rows(x, centre), *_right_rows(y, centre))
 
 
 def _unsure(sure: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,41 +338,7 @@ def _chunks(counts: list[int], width: int):
             yield lo, hi
             lo, entries = hi, 0
         entries += count * width
-    if lo < len(counts):
-        yield lo, len(counts)
-
-
-def _mutual_counts(
-    x: np.ndarray,
-    left: np.ndarray,
-    slack_x: np.ndarray,
-    radius_x: np.ndarray,
-    y: np.ndarray,
-    right: np.ndarray,
-    slack_y: np.ndarray,
-    radius_y: np.ndarray,
-    k: int,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Density and coverage of y against x's balls and of x against y's.
-
-    ``left``/``slack_x`` and ``right``/``slack_y`` are the rows and error
-    parts that ``_left_rows`` and ``_right_rows`` built for x and y.
-    """
-    hits_x = covered_x = hits_y = 0
-    covered_y = np.zeros(y.shape[0], dtype=bool)
-    for start, estimate, block_x, block_y in _estimate_blocks(left, slack_x, right, slack_y):
-        stop = start + estimate.shape[0]
-        slack = block_x + block_y.max()
-        inside = _closed_ball(x, y, start, estimate, radius_x[start:stop, None], slack[:, None])
-        hits_x += int(np.count_nonzero(inside))
-        covered_x += int(np.count_nonzero(inside.any(axis=1)))
-        inside = _closed_ball(x, y, start, estimate, radius_y, block_y + block_x.max())
-        hits_y += int(np.count_nonzero(inside))
-        covered_y |= inside.any(axis=0)
-    return (
-        (hits_x / (k * y.shape[0]), covered_x / x.shape[0]),
-        (hits_y / (k * x.shape[0]), int(np.count_nonzero(covered_y)) / y.shape[0]),
-    )
+    yield lo, len(counts)
 
 
 def density_coverage(
@@ -396,40 +360,77 @@ def density_coverage(
     return int(counts.sum()) / (k * m), int(np.count_nonzero(first < m)) / n
 
 
-def mutual_density_coverage(
-    reference: EmbeddingSet | np.ndarray,
-    candidates: Sequence[EmbeddingSet | np.ndarray],
-    k: int,
-    radii: RadiusProfile | None,
-    candidate_radii: Sequence[RadiusProfile | None],
-    to_frame: Callable[[EmbeddingSet | np.ndarray], np.ndarray],
-) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """``(density_coverage(x, y, k), density_coverage(y, x, k))`` for each candidate y.
-
-    x is ``to_frame(reference)`` and each y is ``to_frame`` of a candidate
-    (``real_frame`` gives the map); ``radii`` and ``candidate_radii`` are
-    their profiles in that frame. The rows of x are built once. The
-    candidates go through ``to_frame`` and into their rows a chunk at a time
-    (module docstring), and each pair reads views of its chunk.
+def _listed_inside(
+    x: np.ndarray, y: np.ndarray, start: int, estimate: np.ndarray,
+    radius: np.ndarray, slack: np.ndarray, listed: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices ``(rows, cols)`` of a block's entries with ``d(x_i, y_j) <= radius``, decided as
+    ``_closed_ball`` does, but only for the entries that one comparison into the mask ``listed``
+    lists: those not above ``r^2 + band``, NaN included. ``radius`` is a column or a row.
     """
-    x = to_frame(reference)
-    radius_x = _profile(x, k, radii)
-    centre = x.mean(axis=0)
-    left, slack_x = _left_rows(x, centre)
-    parts = [c.data if isinstance(c, EmbeddingSet) else np.asarray(c) for c in candidates]
-    for part in parts:
-        _check_pair(x, part)
-    results = []
-    for lo, hi in _chunks([part.shape[0] for part in parts], x.shape[1] + 2):
-        stacked = to_frame(np.concatenate(parts[lo:hi]) if hi - lo > 1 else parts[lo])
-        right, slack_y = _right_rows(stacked, centre)
-        stop = 0
-        for j in range(lo, hi):
-            start, stop = stop, stop + parts[j].shape[0]
-            y = stacked[start:stop]
-            y_rows = right[start:stop], slack_y[start:stop], _profile(y, k, candidate_radii[j])
-            results.append(_mutual_counts(x, left, slack_x, radius_x, y, *y_rows, k))
-    return results
+    squared = radius * radius
+    band = slack + (8.0 * _UNIT_ROUNDOFF) * squared
+    np.greater(estimate, squared + band, out=listed)
+    flat = np.flatnonzero(np.logical_not(listed, out=listed))
+    rows = flat // estimate.shape[1]
+    cols = flat - rows * estimate.shape[1]
+    ball = rows if radius.ndim == 2 else cols
+    inside = estimate.ravel()[flat] < (squared - band).ravel()[ball]
+    unsure = np.flatnonzero(~inside)
+    if unsure.size:
+        exact = np.sqrt(_exact_squared(x, y, rows[unsure] + start, cols[unsure]))
+        inside[unsure] = exact <= radius.ravel()[ball[unsure]]
+    return rows[inside], cols[inside]
+
+
+def pairwise_density_coverage(
+    sets: Sequence[EmbeddingSet | np.ndarray],
+    k: int,
+    to_frame: Callable[[EmbeddingSet | np.ndarray], np.ndarray],
+    centre: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices whose entry (i, j) is ``density_coverage(x_i, x_j, k)``, and 0 where i = j.
+
+    x_i is ``to_frame(sets[i])`` (``real_frame`` gives the map); every
+    estimate row is centred on ``centre`` (module docstring).
+    """
+    parts = [s.data if isinstance(s, EmbeddingSet) else np.asarray(s) for s in sets]
+    n, rows = len(parts), np.array([part.shape[0] for part in parts])
+    radii = [knn_radii(to_frame(part), k).radii for part in parts]
+    hits, covered = np.zeros((2, n, n), dtype=np.int64)
+    chunks = list(_chunks(rows.tolist(), parts[0].shape[1] + 2))
+    size = max(_BLOCK_ENTRIES, *(rows[lo:hi].sum() for lo, hi in chunks))
+    buffer, mask = np.empty(size), np.empty(size, dtype=bool)  # one of each per matrix
+    for lo, hi in chunks:
+        y = to_frame(np.concatenate(parts[lo:hi]) if hi - lo > 1 else parts[lo])
+        right, slack_y = _right_rows(y, centre)
+        radius_y, owner = np.concatenate(radii[lo:hi]), np.repeat(np.arange(lo, hi), rows[lo:hi])
+        for i in range(hi - 1):
+            # The sets after set i; slacks over all rows or columns still bound a block.
+            cols = slice(rows[lo : max(lo, i + 1)].sum(), None)
+            x = to_frame(parts[i])
+            left, slack_x = _left_rows(x, centre)
+            slack_i, slack_j = slack_x + slack_y[cols].max(), slack_y[cols] + slack_x.max()
+            held = np.zeros(slack_j.size, dtype=bool)
+            step = max(1, _BLOCK_ENTRIES // held.size)
+            for start in range(0, x.shape[0], step):
+                block = slice(start, start + step)
+                out = buffer[: len(left[block]) * held.size].reshape(-1, held.size)
+                estimate = np.matmul(left[block], right[cols].T, out=out)
+                listed = mask[: estimate.size].reshape(estimate.shape)
+                # The balls of set i, each inside this block.
+                r, c = _listed_inside(
+                    x, y[cols], start, estimate, radii[i][block, None], slack_i[block, None], listed
+                )
+                by_row = np.bincount(r * n + owner[cols][c], minlength=len(estimate) * n)
+                hits[i] += by_row.reshape(-1, n).sum(axis=0)
+                covered[i] += np.count_nonzero(by_row.reshape(-1, n), axis=0)
+                # The balls of the later sets, which may hold rows of set i in several blocks.
+                r, c = _listed_inside(x, y[cols], start, estimate, radius_y[cols], slack_j, listed)
+                hits[:, i] += np.bincount(owner[cols][c], minlength=n)
+                held[c] = True
+            covered[:, i] += np.bincount(owner[cols][held], minlength=n)
+    return hits / (k * rows), covered / rows[:, None]
 
 
 def ball_hits(

@@ -43,7 +43,7 @@ from .metrics import (
     harmonic_d,
     knn_radii,
     metric_d,
-    mutual_density_coverage,
+    pairwise_density_coverage,
     real_frame,
 )
 from .store import EmbeddingSet, Pool
@@ -270,11 +270,11 @@ def pairwise_matrix(
     size. Each unordered pair is computed once and written to both entries.
 
     Density and coverage are asymmetric, so a dnc entry averages both
-    argument orders. Each subsample's k-NN radii are computed once, and row i
-    of the matrix is one ``mutual_density_coverage`` call, which serves both
-    orders: subsample i's estimate rows are built once, the later subsamples
-    enter the frame and their rows a memory-capped chunk at a time, and
-    every ball decision is exact (``metrics`` module docstring).
+    argument orders, all from one ``pairwise_density_coverage`` call: rows
+    centred on the real set's mean (any fixed centre keeps the error bound),
+    built once per memory-capped chunk of subsamples; exact decisions on only
+    the entries one comparison per ball side lists; and estimate and mask
+    buffers reused, as fresh ones would fault in anew (``metrics`` docstring).
 
     The Frechet distance is symmetric up to rounding (S_a S_b and S_b S_a
     have the same spectrum), so a fid entry is the one value
@@ -295,13 +295,11 @@ def pairwise_matrix(
     # whole pool is alive at once.
     to_frame = real_frame(pool.real, cfg.standardize)
     if cfg.kind is MetricKind.DENSITY_COVERAGE:
-        profiles = [knn_radii(to_frame(s), cfg.k) for s in subs]
-        for i in range(n):
-            row = mutual_density_coverage(
-                subs[i], subs[i + 1 :], cfg.k, profiles[i], profiles[i + 1 :], to_frame
-            )
-            for j, (forward, backward) in enumerate(row, start=i + 1):
-                values[i, j] = values[j, i] = (harmonic_d(*forward) + harmonic_d(*backward)) / 2.0
+        centre = to_frame(pool.real).mean(axis=0)
+        dns, cvg = (m.tolist() for m in pairwise_density_coverage(subs, cfg.k, to_frame, centre))
+        for i, j in zip(*np.triu_indices(n, 1)):
+            forward = harmonic_d(dns[i][j], cvg[i][j])
+            values[i, j] = values[j, i] = (forward + harmonic_d(dns[j][i], cvg[j][i])) / 2.0
     else:
         # Row by row, so only one covariance root is held at a time; the last
         # row has no later column and needs none.

@@ -213,6 +213,34 @@ def pool_sets(draw):
     return (real + offset) * scale, [(g + offset) * scale for g in generators]
 
 
+@st.composite
+def crowded_pool_sets(draw):
+    """A real set and 40 to 48 generator sets of 3 to 5 rows, with copies and loners.
+
+    Rows are drawn as in ``ball_sets``. A copy repeats an earlier set's rows
+    in another order, so with k = 1 each ball of the copy holds two rows of
+    its source: the row it repeats and that row's nearest neighbour. A loner
+    sits far from every other set, alone, so its entries hold no hit.
+    """
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["grid", "float32", "normal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    roles = draw(st.lists(st.sampled_from(["drawn", "copy", "loner"]), min_size=40, max_size=48))
+    real = grid_or_normal_rows(rng, kind, 5, dim)
+    generators, drawn = [], []
+    for i, role in enumerate(["drawn", "copy", "loner", *roles[3:]]):
+        rows = grid_or_normal_rows(rng, kind, int(rng.integers(3, 6)), dim)
+        if role == "copy":
+            source = drawn[int(rng.integers(0, len(drawn)))]
+            rows = source[rng.permutation(len(source))]
+        elif role == "loner":
+            rows += 1000.0 * (i + 1)
+        else:
+            drawn.append(rows)
+        generators.append(rows)
+    return real, generators
+
+
 class TestReferenceEquality:
     """The GEMM kernel takes every ball decision as the per-dimension loop does."""
 
@@ -262,6 +290,32 @@ class TestReferenceEquality:
                 sample_per_generator=max(len(g) for g in generators),
             )
         assert_entries_equal_reference(matrix, pool, k, standardize)
+
+    @settings(max_examples=30)
+    @given(
+        sets=crowded_pool_sets(),
+        k_draw=st.integers(0, 100),
+        standardize=st.booleans(),
+        block_entries=st.integers(1, 12),
+        cap_rows=st.integers(20, 120),
+    )
+    def test_blocked_rows_equal_reference(self, sets, k_draw, standardize, block_entries, cap_rows):
+        # A chunk holds many sets, and an estimate block holds one row of a set
+        # unless few columns follow it, so each ball of a copy holds rows of
+        # its source from two blocks: it is covered once.
+        real, generators = sets
+        pool = make_pool({f"g{i:02d}": g for i, g in enumerate(generators)}, real)
+        k = 1 + k_draw % 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ganens.metrics, "_BLOCK_ENTRIES", block_entries)
+            patch.setattr(ganens.metrics, "_CHUNK_ENTRIES", cap_rows * (real.shape[1] + 2))
+            matrix = pairwise_matrix(
+                pool,
+                MetricConfig(k=k, standardize=standardize),
+                sample_per_generator=max(len(g) for g in generators),
+            )
+        assert_entries_equal_reference(matrix, pool, k, standardize)
+        assert (matrix.values == 0).all(axis=1).any()
 
     @pytest.mark.parametrize("axis", ["column", "row"])
     def test_closed_ball_recomputes_nan_and_band_edges(self, axis):
