@@ -208,6 +208,28 @@ class TestOptimize:
         assert code == 2
         assert "capped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "algo, budget, evaluations",
+        # 4082 of the 4095 nonempty genomes over 12 generators have at most 10
+        # members; a budget of 4095 runs NSGA-II until it has seen all of them.
+        [("exhaustive", [], 4082), ("random", ["--budget", "2000"], 2000),
+         ("nsga2", ["--budget", "4095"], 4082)],
+    )
+    def test_genomes_outnumbering_total_are_not_proposed(self, tmp_path, algo, budget, evaluations):
+        # 12 generators and a 10-row real set: a union of 10 rows cannot give
+        # each of 11 or 12 members a row, so no search may propose such a genome.
+        spec = json.loads(canonical_fixture_path().read_text())
+        spec["generators"] = [{"id": f"g{i:02d}", "modes": [i % 4], "samples": 20} for i in range(12)]
+        spec["real_samples"] = 10
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["toy", str(tmp_path / "spec.json"), "--out", str(tmp_path / "pool")]) == 0
+        code = main(["optimize", "--manifest", str(tmp_path / "pool" / "manifest.json"),
+                     "--algo", algo, *budget, "--k", "3", "--out", str(tmp_path / "opt")])
+        assert code == 0
+        rows = (tmp_path / "opt" / "scatter.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == evaluations
+        assert max(int(row.split(",")[-1]) for row in rows) == 10
+
     def test_unknown_algorithm_is_usage_error(self, small_manifest, tmp_path):
         code = main(
             [

@@ -378,6 +378,16 @@ class TestEvaluator:
         evaluator = EnsembleEvaluator(pool, MetricConfig(k=2), seed=0)
         assert evaluator.evaluate(genome((0, 1, 0), pool)).inter == 0.0
 
+    @pytest.mark.parametrize("kind", ["dnc", "fid"])
+    def test_genome_outnumbering_total_raises(self, kind):
+        # The searches never propose such a genome; one passed in directly is an error.
+        pool, cfg = self._pool(), MetricConfig(kind=kind, k=2)
+        evaluator = EnsembleEvaluator(pool, cfg, seed=0, total=2)
+        with pytest.raises(ParameterError, match="total 2 is smaller than ensemble size 3"):
+            evaluator.evaluate(genome((1, 1, 1), pool))
+        with pytest.raises(ParameterError, match="total 2 is smaller than ensemble size 3"):
+            intra_d(genome((1, 1, 1), pool), pool, cfg, seed=0, total=2)
+
 
 @st.composite
 def evaluator_cases(draw):
