@@ -211,26 +211,32 @@ def _exact_squared(x: np.ndarray, y: np.ndarray, rows: np.ndarray, cols: np.ndar
 
 
 def _left_rows(x: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``[a, |a|^2, 1]`` with a = x - centre, and each row's part of the error bound."""
-    dim = x.shape[1]
-    left = np.empty((x.shape[0], dim + 2), dtype=np.float64)
-    np.subtract(x, centre, out=left[:, :dim])
-    left[:, dim] = np.einsum("ij,ij->i", left[:, :dim], left[:, :dim])
-    left[:, dim + 1] = 1.0
+    """Rows ``[a, |a|^2, 1]`` with a = x - centre, and each row's part of the error bound.
+
+    ``x`` is one set (N, D) or a stack of sets (S, N, D), each with its own centre.
+    """
+    dim = x.shape[-1]
+    left = np.empty(x.shape[:-1] + (dim + 2,), dtype=np.float64)
+    np.subtract(x, centre, out=left[..., :dim])
+    left[..., dim] = np.einsum("...j,...j->...", left[..., :dim], left[..., :dim])
+    left[..., dim + 1] = 1.0
     coef = _ERR_PER_DIM * dim + _ERR_BASE
-    return left, left[:, dim] * (coef * _UNIT_ROUNDOFF) + coef * _SMALLEST_SUBNORMAL
+    return left, left[..., dim] * (coef * _UNIT_ROUNDOFF) + coef * _SMALLEST_SUBNORMAL
 
 
 def _right_rows(y: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``[-2b, 1, |b|^2]`` with b = y - centre, and each row's part of the error bound."""
-    dim = y.shape[1]
-    right = np.empty((y.shape[0], dim + 2), dtype=np.float64)
-    np.subtract(y, centre, out=right[:, :dim])
-    right[:, dim + 1] = np.einsum("ij,ij->i", right[:, :dim], right[:, :dim])
-    right[:, :dim] *= -2.0
-    right[:, dim] = 1.0
+    """Rows ``[-2b, 1, |b|^2]`` with b = y - centre, and each row's part of the error bound.
+
+    ``y`` is one set (M, D) or a stack of sets (S, M, D), each with its own centre.
+    """
+    dim = y.shape[-1]
+    right = np.empty(y.shape[:-1] + (dim + 2,), dtype=np.float64)
+    np.subtract(y, centre, out=right[..., :dim])
+    right[..., dim + 1] = np.einsum("...j,...j->...", right[..., :dim], right[..., :dim])
+    right[..., :dim] *= -2.0
+    right[..., dim] = 1.0
     coef = _ERR_PER_DIM * dim + _ERR_BASE
-    return right, right[:, dim + 1] * (coef * _UNIT_ROUNDOFF)
+    return right, right[..., dim + 1] * (coef * _UNIT_ROUNDOFF)
 
 
 def _pair_blocks(x: np.ndarray, y: np.ndarray):
@@ -251,36 +257,40 @@ def _pair_blocks(x: np.ndarray, y: np.ndarray):
 
 
 def _unsure(sure: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the entries where ``sure`` is false (overwrites it)."""
+    """Row and column indices of the entries where ``sure`` is false (overwrites it).
+
+    Rows of a stacked ``sure`` (S, N, M) count on through the stack: set s, row i is s * N + i.
+    """
     np.logical_not(sure, out=sure)
-    return np.divmod(np.flatnonzero(sure), sure.shape[1])
+    return np.divmod(np.flatnonzero(sure), sure.shape[-1])
 
 
-def _closed_ball(
-    x: np.ndarray,
-    y: np.ndarray,
-    start: int,
-    estimate: np.ndarray,
-    radius: np.ndarray,
-    slack: np.ndarray,
-) -> np.ndarray:
-    """Exact ``d(x_i, y_j) <= radius`` over one block of rows from ``start``.
+def _listed_inside(
+    x: np.ndarray, y: np.ndarray, start: int, estimate: np.ndarray,
+    radius: np.ndarray, slack: np.ndarray, listed: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices ``(rows, cols)`` of the entries of one block of rows from ``start`` with
+    ``d(x_i, y_j) <= radius``, decided exactly, in row-major order.
 
     ``radius`` is a column (one per x row) or a row (one per y row), and
     ``slack`` bounds the estimate's error along that axis for every entry.
-    Entries whose estimate lies in the guard band, NaN included, are
-    recomputed; when none does, two comparisons decide the whole block.
+    One comparison into the mask ``listed`` lists the entries not above
+    ``r^2 + band``, NaN included; of those, an estimate below ``r^2 - band``
+    is inside, and the rest, in the guard band or NaN, are recomputed.
     """
     squared = radius * radius
     band = slack + (8.0 * _UNIT_ROUNDOFF) * squared
-    inside = estimate < squared - band
-    outside = estimate > squared + band
-    # NaN is neither inside nor outside, so it counts as unsure.
-    if np.count_nonzero(inside) + np.count_nonzero(outside) < estimate.size:
-        rows, cols = _unsure(outside | inside)
-        exact = np.sqrt(_exact_squared(x, y, rows + start, cols))
-        inside[rows, cols] = exact <= np.broadcast_to(radius, estimate.shape)[rows, cols]
-    return inside
+    np.greater(estimate, squared + band, out=listed)
+    flat = np.flatnonzero(np.logical_not(listed, out=listed))
+    rows = flat // estimate.shape[1]
+    cols = flat - rows * estimate.shape[1]
+    ball = rows if radius.ndim == 2 else cols
+    inside = estimate.ravel()[flat] < (squared - band).ravel()[ball]
+    unsure = np.flatnonzero(~inside)
+    if unsure.size:
+        exact = np.sqrt(_exact_squared(x, y, rows[unsure] + start, cols[unsure]))
+        inside[unsure] = exact <= radius.ravel()[ball[unsure]]
+    return rows[inside], cols[inside]
 
 
 def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
@@ -288,27 +298,54 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
 
     Requires 1 <= k < N. Ties in neighbor ranking are value ties, so the
     k-th order statistic is well defined regardless of index order.
+
+    ``reference`` may also be a stack, an (S, N, D) array of S sets of N rows
+    each; the radii are then (S, N), row s those of set s alone, equal to a
+    call on set s by itself. One set is a stack of one. Whole sets share an
+    estimate block while it holds at most ``_BLOCK_ENTRIES`` entries, and a
+    set larger than that takes several blocks of rows, so the temporaries
+    stay within some megabytes; the stack itself is the caller's to bound.
     """
     ref = _as_matrix(reference)
-    n = ref.shape[0]
+    stack = ref if ref.ndim == 3 else ref[None]
+    sets, n, dim = stack.shape
     if k < 1 or k >= n:
         raise ParameterError(f"k must satisfy 1 <= k < N, got k={k} with N={n}")
-    kth = np.empty(n, dtype=np.float64)
-    for start, estimate, slack_rows, slack_cols in _pair_blocks(ref, ref):
-        own = np.arange(estimate.shape[0])
-        estimate[own, own + start] = np.inf
-        # Within row i every entry errs by at most slack_i, so the k-th smallest
-        # exact value is at most kth_estimate + slack_i, and only entries whose
-        # estimate is within 2 * slack_i of kth_estimate can reach it.
-        slack = slack_rows + slack_cols.max()
-        cutoff = np.partition(estimate, k - 1, axis=1)[:, k - 1] + 2.0 * slack
-        rows, cols = _unsure(estimate > cutoff[:, None])
-        exact = _exact_squared(ref, ref, rows + start, cols)
-        # A point is not its own neighbour, as in the all-pairs reference.
-        exact[rows + start == cols] = np.inf
-        exact = exact[np.lexsort((exact, rows))]
-        kth[start : start + own.shape[0]] = exact[np.searchsorted(rows, own) + k - 1]
-    return RadiusProfile(k=k, radii=np.sqrt(kth))
+    points = stack.reshape(sets * n, dim)
+    centre = stack.mean(axis=1, keepdims=True)
+    left, slack_rows = _left_rows(stack, centre)
+    right, slack_cols = _right_rows(stack, centre)
+    # Within row i every entry errs by at most slack_i, so the k-th smallest
+    # exact value is at most kth_estimate + slack_i, and only entries whose
+    # estimate is within 2 * slack_i of kth_estimate can reach it.
+    slack = slack_rows + slack_cols.max(axis=1, keepdims=True)
+    kth = np.empty((sets, n), dtype=np.float64)
+    entries = max(1, _BLOCK_ENTRIES // 4)  # a block and its partitioned copy stay in L2 cache
+    group = max(1, entries // (n * n))
+    step = max(1, min(n, entries // n))
+    for lo in range(0, sets, group):
+        block_sets = slice(lo, lo + group)
+        for start in range(0, n, step):
+            block_rows = slice(start, start + step)
+            estimate = np.matmul(left[block_sets, block_rows], right[block_sets].transpose(0, 2, 1))
+            count, height = estimate.shape[:2]
+            own = np.arange(height)
+            estimate[:, own, own + start] = np.inf
+            cutoff = np.partition(estimate, k - 1, axis=2)[..., k - 1]
+            cutoff += 2.0 * slack[block_sets, block_rows]
+            # Row r of the block is row r % height of set lo + r // height.
+            block_row, cols = _unsure(estimate > cutoff[..., None])
+            first_row = (lo + block_row // height) * n
+            exact = _exact_squared(
+                points, points, first_row + start + block_row % height, first_row + cols
+            )
+            # A point is not its own neighbour, as in the all-pairs reference.
+            exact[start + block_row % height == cols] = np.inf
+            exact = exact[np.lexsort((exact, block_row))]
+            picked = exact[np.searchsorted(block_row, np.arange(count * height)) + k - 1]
+            kth[block_sets, block_rows] = picked.reshape(count, height)
+    radii = np.sqrt(kth)
+    return RadiusProfile(k=k, radii=radii if ref.ndim == 3 else radii[0])
 
 
 def _check_pair(ref: np.ndarray, cand: np.ndarray) -> None:
@@ -360,29 +397,6 @@ def density_coverage(
     return int(counts.sum()) / (k * m), int(np.count_nonzero(first < m)) / n
 
 
-def _listed_inside(
-    x: np.ndarray, y: np.ndarray, start: int, estimate: np.ndarray,
-    radius: np.ndarray, slack: np.ndarray, listed: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices ``(rows, cols)`` of a block's entries with ``d(x_i, y_j) <= radius``, decided as
-    ``_closed_ball`` does, but only for the entries that one comparison into the mask ``listed``
-    lists: those not above ``r^2 + band``, NaN included. ``radius`` is a column or a row.
-    """
-    squared = radius * radius
-    band = slack + (8.0 * _UNIT_ROUNDOFF) * squared
-    np.greater(estimate, squared + band, out=listed)
-    flat = np.flatnonzero(np.logical_not(listed, out=listed))
-    rows = flat // estimate.shape[1]
-    cols = flat - rows * estimate.shape[1]
-    ball = rows if radius.ndim == 2 else cols
-    inside = estimate.ravel()[flat] < (squared - band).ravel()[ball]
-    unsure = np.flatnonzero(~inside)
-    if unsure.size:
-        exact = np.sqrt(_exact_squared(x, y, rows[unsure] + start, cols[unsure]))
-        inside[unsure] = exact <= radius.ravel()[ball[unsure]]
-    return rows[inside], cols[inside]
-
-
 def pairwise_density_coverage(
     sets: Sequence[EmbeddingSet | np.ndarray],
     k: int,
@@ -395,10 +409,18 @@ def pairwise_density_coverage(
     estimate row is centred on ``centre`` (module docstring).
     """
     parts = [s.data if isinstance(s, EmbeddingSet) else np.asarray(s) for s in sets]
-    n, rows = len(parts), np.array([part.shape[0] for part in parts])
-    radii = [knn_radii(to_frame(part), k).radii for part in parts]
+    n, rows, width = len(parts), np.array([part.shape[0] for part in parts]), parts[0].shape[1] + 2
+    radii = []
+    while len(radii) < n:
+        # One stack per run of equal-size sets, as many as a block of entries holds framed.
+        lo = len(radii)
+        cap = lo + max(1, _BLOCK_ENTRIES // (rows[lo] * width))
+        hi = lo + 1
+        while hi < min(n, cap) and rows[hi] == rows[lo]:
+            hi += 1
+        radii.extend(knn_radii(to_frame(np.stack(parts[lo:hi])), k).radii)
     hits, covered = np.zeros((2, n, n), dtype=np.int64)
-    chunks = list(_chunks(rows.tolist(), parts[0].shape[1] + 2))
+    chunks = list(_chunks(rows.tolist(), width))
     size = max(_BLOCK_ENTRIES, *(rows[lo:hi].sum() for lo, hi in chunks))
     buffer, mask = np.empty(size), np.empty(size, dtype=bool)  # one of each per matrix
     for lo, hi in chunks:
@@ -438,6 +460,7 @@ def ball_hits(
     candidate: EmbeddingSet | np.ndarray,
     k: int,
     radii: RadiusProfile | None = None,
+    segments: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row ball counts and per-ball first hits of a candidate set, decided exactly.
 
@@ -447,21 +470,37 @@ def ball_hits(
     So ``density_coverage`` of the first t candidate rows is
     ``(counts[:t].sum() / (k * t), count_nonzero(first < t) / N)``, for every
     t at once.
+
+    ``segments`` splits the candidate rows into consecutive sets of these
+    (positive) row counts. ``first`` is then (len(segments), N): ``first[s, i]``
+    counts from the start of set s, and is set s's row count if none of its
+    rows is inside ball i. One call thus stands for one call per set.
     """
     ref = _as_matrix(reference)
     cand = _as_matrix(candidate)
     _check_pair(ref, cand)
     radius = _profile(ref, k, radii)
     m = cand.shape[0]
+    lengths = np.array([m] if segments is None else segments, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(lengths.size), lengths)
     counts = np.zeros(m, dtype=np.int64)
-    first = np.empty(ref.shape[0], dtype=np.int64)
+    first = np.repeat(lengths[:, None], ref.shape[0], axis=1)
     for start, estimate, slack_x, slack_y in _pair_blocks(ref, cand):
         stop = start + estimate.shape[0]
         slack = slack_x + slack_y.max()
-        inside = _closed_ball(ref, cand, start, estimate, radius[start:stop, None], slack[:, None])
-        counts += np.count_nonzero(inside, axis=0)
-        first[start:stop] = np.where(inside.any(axis=1), inside.argmax(axis=1), m)
-    return counts, first
+        listed = np.empty(estimate.shape, dtype=bool)
+        rows, cols = _listed_inside(
+            ref, cand, start, estimate, radius[start:stop, None], slack[:, None], listed
+        )
+        counts += np.bincount(cols, minlength=m)
+        # Hits come row by row with rising columns, so a (ball, set) key never
+        # falls, and its first occurrence is the set's first row in that ball.
+        key = rows * lengths.size + owner[cols]
+        head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if key.size else key
+        sets = owner[cols[head]]
+        first[sets, start + rows[head]] = cols[head] - offsets[sets]
+    return counts, first[0] if segments is None else first
 
 
 def density(

@@ -26,6 +26,7 @@ bit, whatever the row order inside the union; ``intra_d`` and
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +37,7 @@ from .errors import DataError, ParameterError, ShortfallWarning
 from .metrics import (
     MetricConfig,
     MetricKind,
+    _chunks,
     ball_hits,
     covariance_root,
     frechet_distance,
@@ -58,12 +60,15 @@ class EnsembleGenome:
     pool_ref: str = ""
 
     def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
+        try:
+            flags = bytes(tuple(self.bits))  # integers, bools and numpy integers in 0..255
+        except (TypeError, ValueError):  # anything else goes through int(), and 2 marks a bad bit
+            flags = bytes(b if b in (0, 1) else 2 for b in map(int, self.bits))
+        if flags.translate(None, b"\x00\x01"):
             raise ParameterError("genome bits must be 0 or 1")
-        if sum(bits) < 1:
+        if b"\x01" not in flags:
             raise ParameterError("empty ensembles are invalid; repair before evaluation")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", tuple(flags))
 
     @property
     def member_count(self) -> int:
@@ -107,7 +112,7 @@ class ObjectiveVector:
     metric: MetricConfig
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.intra) and np.isfinite(self.inter)):
+        if not (math.isfinite(self.intra) and math.isfinite(self.inter)):
             raise ParameterError(f"objectives must be finite, got ({self.intra}, {self.inter})")
 
     def effective(self) -> tuple[float, float]:
@@ -207,6 +212,12 @@ def _draw_order(dataset: EmbeddingSet, seed: int, tag: str) -> np.ndarray:
     return seeded_stream(seed, tag).permutation(dataset.rows)
 
 
+def _prefix_rows(data: np.ndarray, order: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` rows of the draw order ``order``, in row order; all of ``data``
+    when ``size`` covers every row."""
+    return data if size >= data.shape[0] else data[np.sort(order[:size])]
+
+
 def subsample_rows(dataset: EmbeddingSet, size: int, seed: int, tag: str) -> EmbeddingSet:
     """The first ``size`` rows of the draw order seeded by (seed, tag), in row order.
 
@@ -217,8 +228,8 @@ def subsample_rows(dataset: EmbeddingSet, size: int, seed: int, tag: str) -> Emb
         return dataset
     if size < 1:
         raise ParameterError(f"subsample size must be >= 1, got {size}")
-    picked = np.sort(_draw_order(dataset, seed, tag)[:size])
-    return EmbeddingSet(dataset.data[picked], source_id=f"{dataset.source_id}[{size}]")
+    rows = _prefix_rows(dataset.data, _draw_order(dataset, seed, tag), size)
+    return EmbeddingSet(rows, source_id=f"{dataset.source_id}[{size}]")
 
 
 def build_union(quotas: dict[str, int], pool: Pool, seed: int) -> EmbeddingSet:
@@ -290,20 +301,22 @@ def pairwise_matrix(
         subsample_rows(es, sample_per_generator, seed, record.id)
         for record, es in pool.members
     ]
-    values = np.zeros((n, n), dtype=np.float64)
     # Sets enter the frame where they are used, so no float64 copy of the
     # whole pool is alive at once.
     to_frame = real_frame(pool.real, cfg.standardize)
     if cfg.kind is MetricKind.DENSITY_COVERAGE:
         centre = to_frame(pool.real).mean(axis=0)
-        dns, cvg = (m.tolist() for m in pairwise_density_coverage(subs, cfg.k, to_frame, centre))
-        for i, j in zip(*np.triu_indices(n, 1)):
-            forward = harmonic_d(dns[i][j], cvg[i][j])
-            values[i, j] = values[j, i] = (forward + harmonic_d(dns[j][i], cvg[j][i])) / 2.0
+        dns, cvg = pairwise_density_coverage(subs, cfg.k, to_frame, centre)
+        # harmonic_d of every entry at once, in its order of operations; the
+        # diagonal is 0 / 0 and stays 0.
+        total = dns + cvg
+        ordered = np.divide(2.0 * dns * cvg, total, out=np.zeros_like(total), where=total != 0)
+        values = (ordered + ordered.T) / 2.0
     else:
         # Row by row, so only one covariance root is held at a time; the last
         # row has no later column and needs none.
         summaries = [gaussian_summary(to_frame(s)) for s in subs]
+        values = np.zeros((n, n), dtype=np.float64)
         for i in range(n - 1):
             root = covariance_root(summaries[i])
             for j in range(i + 1, n):
@@ -334,20 +347,29 @@ def inter_d(genome: EnsembleGenome, matrix: PairwiseMatrix) -> float:
 
 
 class EnsembleEvaluator:
-    """Objective evaluator bound to one (pool, metric, seed) triple.
+    """Objective evaluator bound to one (pool, metric, seed, total) set.
 
     Everything that does not depend on the genome is computed once, at
     construction. The real set and every generator's rows go into the real
     set's frame (``real_frame``), as ``metric_d`` puts a union there. For
-    density and coverage the real set's k-NN radii are computed once and
-    each generator's rows run through its balls once, in draw order, to give
-    the prefix counts and first-hit ranks the module docstring describes; an
-    evaluation is then integer work over the members, independent of the
-    dimension. For the Frechet kind the real set's summary and covariance
-    root are kept, and an evaluation builds the union, summarizes it and
-    takes the eigenvalues only (no eigenvectors) of one covariance product.
-    Either way the Intra-d value equals ``intra_d``'s bit for bit. The
-    pairwise matrix is built lazily on first use.
+    density and coverage the real set's k-NN radii are computed once, and
+    the generators' rows run through its balls in draw order, many
+    generators to one ``ball_hits`` call, to give the prefix counts and
+    first-hit ranks the module docstring describes. For the Frechet kind
+    the real set's summary and covariance root are kept, with each
+    generator's draw order, and an evaluation gathers the union's rows from
+    the pool's own arrays, summarizes them and takes the eigenvalues only
+    (no eigenvectors) of one covariance product. The pairwise matrix is
+    built lazily on first use.
+
+    An evaluation finds the members once, as an index array, and both
+    objectives use it. Quotas are array arithmetic, ``divmod(total, n)``
+    as ``quota_plan`` splits it; only when a quota may exceed some member's
+    rows are they capped, and only when one does is ``capped_plan`` called,
+    for its ShortfallWarnings. For density and coverage the rest is integer
+    work over the members, independent of the dimension. Either way
+    Intra-d and Inter-d equal ``intra_d`` and ``inter_d`` bit for bit;
+    those, ``capped_plan`` and ``build_union`` stay as the reference.
     """
 
     def __init__(
@@ -366,19 +388,28 @@ class EnsembleEvaluator:
         self._ref = pool.ref
         self._matrix: PairwiseMatrix | None = None
         self._to_frame = real_frame(pool.real, self.cfg.standardize)
+        self._rows = np.array([dataset.rows for _, dataset in pool.members])
+        self._shortest = int(self._rows.min())
+        orders = [_draw_order(dataset, self.seed, record.id) for record, dataset in pool.members]
         real = self._to_frame(pool.real)
         if self.cfg.kind is MetricKind.DENSITY_COVERAGE:
             radii = knn_radii(real, self.cfg.k)
-            longest = max(dataset.rows for _, dataset in pool.members)
-            # prefix[g, t] is read only for t <= rows of g.
+            longest = int(self._rows.max())
+            # prefix[g, t] is read only for t <= rows of g; a rank fits the
+            # smallest integer type that holds the longest generator's row count.
             self._prefix = np.zeros((pool.size, longest + 1), dtype=np.int64)
-            self._first = np.empty((pool.size, real.shape[0]), dtype=np.int64)
-            for g, (record, dataset) in enumerate(pool.members):
-                order = _draw_order(dataset, self.seed, record.id)
-                rows = self._to_frame(dataset.data[order])
-                counts, self._first[g] = ball_hits(real, rows, self.cfg.k, radii)
-                np.cumsum(counts, out=self._prefix[g, 1 : dataset.rows + 1])
+            self._first = np.empty((pool.size, real.shape[0]), dtype=np.min_scalar_type(longest))
+            # Whole generators share a ball_hits call under the pairwise kernel's chunk cap.
+            for lo, hi in _chunks(self._rows.tolist(), real.shape[1] + 2):
+                rows = self._rows[lo:hi]
+                drawn = np.concatenate([pool.members[g][1].data[orders[g]] for g in range(lo, hi)])
+                counts, self._first[lo:hi] = ball_hits(
+                    real, self._to_frame(drawn), self.cfg.k, radii, segments=rows
+                )
+                for g, end, count in zip(range(lo, hi), np.cumsum(rows), rows):
+                    np.cumsum(counts[end - count : end], out=self._prefix[g, 1 : count + 1])
         else:
+            self._orders = orders
             self._real_summary = gaussian_summary(real)
             self._real_root = covariance_root(self._real_summary)
 
@@ -393,25 +424,50 @@ class EnsembleEvaluator:
             )
         return self._matrix
 
-    def _intra(self, genome: EnsembleGenome) -> float:
+    def _plan(self, genome: EnsembleGenome) -> tuple[np.ndarray, np.ndarray]:
+        """The members, in canonical order, and the rows each gives: ``capped_plan`` as arrays."""
+        members = np.frombuffer(bytes(genome.bits), dtype=np.uint8).nonzero()[0]
+        if self.total < members.size:
+            quota_plan(genome, self.total)  # raises, in its words
+        base, extra = divmod(self.total, members.size)
+        takes = np.full(members.size, base)
+        takes[:extra] += 1
+        if base + (extra > 0) > self._shortest:
+            capped = np.minimum(takes, self._rows[members])
+            if (capped < takes).any():
+                capped_plan(genome, self.pool, self.total)  # words the ShortfallWarnings
+                takes = capped
+        return members, takes
+
+    def _intra(self, members: np.ndarray, takes: np.ndarray) -> float:
         if self.cfg.kind is MetricKind.FRECHET:
-            plan = capped_plan(genome, self.pool, self.total)
-            quotas = {self.pool.members[i][0].id: take for i, take in plan}
-            union = build_union(quotas, self.pool, self.seed)
+            union = np.concatenate([
+                _prefix_rows(self.pool.members[g][1].data, self._orders[g], take)
+                for g, take in zip(members.tolist(), takes.tolist())
+            ])
             summary = gaussian_summary(self._to_frame(union))
             return frechet_distance(self._real_summary, summary, self._real_root)
-        members, takes = np.array(capped_plan(genome, self.pool, self.total)).T
         hits = int(self._prefix[members, takes].sum())
-        covered = int(np.count_nonzero((self._first[members] < takes[:, None]).any(axis=0)))
+        inside = self._first.take(members, axis=0) < takes.astype(self._first.dtype)[:, None]
+        covered = int(np.count_nonzero(np.logical_or.reduce(inside, axis=0)))
         dns = hits / (self.cfg.k * int(takes.sum()))
         return harmonic_d(dns, covered / self._first.shape[1])
 
+    def _inter(self, members: np.ndarray) -> float:
+        """``inter_d``: the same block, C-ordered, so its sum has the same bits."""
+        n = members.size
+        if n < 2:
+            return 0.0
+        block = self.matrix.values[members][:, members]
+        return float((block.sum() - np.trace(block)) / (n * (n - 1)))
+
     def evaluate(self, genome: EnsembleGenome) -> ObjectiveVector:
         _check_pool(genome, self.pool, self._ref)
+        members, takes = self._plan(genome)
         return ObjectiveVector(
-            intra=float(self._intra(genome)),
-            inter=float(inter_d(genome, self.matrix)),
-            member_count=genome.member_count,
+            intra=float(self._intra(members, takes)),
+            inter=self._inter(members),
+            member_count=members.size,
             metric=self.cfg,
         )
 

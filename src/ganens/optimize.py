@@ -14,6 +14,7 @@ exactly with pairwise ``dominates``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -144,59 +145,77 @@ def _bits_from_mask(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
 
 
-def _random_bits(rng: np.random.Generator, n: int) -> tuple[int, ...]:
+def _repair(bits: np.ndarray, rng: np.random.Generator, limit: int) -> None:
+    """Make a proposed genome one ``evaluate`` accepts, in place, drawing from ``rng`` only
+    when it must: an empty genome gains one random member, and one with more than
+    ``limit`` members loses random members down to ``limit``.
+    """
+    count = np.count_nonzero(bits)
+    if count == 0:
+        bits[int(rng.integers(bits.size))] = 1
+    elif count > limit:
+        bits[rng.choice(np.flatnonzero(bits), count - limit, replace=False)] = 0
+
+
+def _random_bits(rng: np.random.Generator, n: int, limit: int) -> tuple[int, ...]:
     bits = rng.integers(0, 2, size=n)
-    if not bits.any():
-        bits[int(rng.integers(n))] = 1
-    return tuple(int(b) for b in bits)
+    _repair(bits, rng, limit)
+    return tuple(bits.tolist())
 
 
 def _novel_bits(
     bits: tuple[int, ...],
     rng: np.random.Generator,
     seen: set[tuple[int, ...]],
+    limit: int,
 ) -> tuple[int, ...] | None:
     """Steer a candidate away from already-evaluated genomes.
 
     Tries escalating random flips around the duplicate, then uniform
     redraws; for small pools the remaining genomes are enumerated exactly.
-    Returns None once every nonempty genome has been seen.
+    Every genome it returns has at most ``limit`` members. Returns None once
+    every such nonempty genome has been seen.
     """
     if bits not in seen:
         return bits
     n = len(bits)
-    space = (1 << n) - 1
+    # The nonempty genomes with at most limit members: all but those with more.
+    space = (1 << n) - 1 - sum(math.comb(n, count) for count in range(limit + 1, n + 1))
     if len(seen) >= space:
         return None
     for flips in (1, 2, 4, 8):
         for _ in range(16):
-            cand = list(bits)
+            cand = np.array(bits)
             for pos in rng.integers(0, n, size=flips):
                 cand[pos] ^= 1
-            if sum(cand) == 0:
-                cand[int(rng.integers(n))] = 1
-            t = tuple(cand)
+            _repair(cand, rng, limit)
+            t = tuple(cand.tolist())
             if t not in seen:
                 return t
     if n <= EXHAUSTIVE_CAP:
-        mask = int(rng.integers(space - len(seen))) + 1  # rank among the unseen masks
-        for taken in sorted(sum(b << i for i, b in enumerate(s)) for s in seen):
-            mask += taken <= mask  # a seen mask at or below the candidate shifts it on
+        mask = int(rng.integers(space - len(seen))) + 1  # rank among the unseen feasible masks
+        taken = [sum(b << i for i, b in enumerate(s)) for s in seen]
+        taken += [m for m in range(1, 1 << n) if m.bit_count() > limit] if limit < n else []
+        for skip in sorted(taken):
+            mask += skip <= mask  # a seen or infeasible mask at or below the candidate shifts it on
         return _bits_from_mask(mask, n)
     for _ in range(10_000):
-        t = _random_bits(rng, n)
+        t = _random_bits(rng, n, limit)
         if t not in seen:
             return t
     return None
 
 
-def _rank_and_crowd(objectives: list[ObjectiveVector]) -> tuple[np.ndarray, np.ndarray]:
+def _rank_and_crowd(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Non-dominated sort ranks plus per-front crowding distances (Deb et al.).
 
-    Ranks peel ``dominance[i, j]`` (i dominates j, the test of ``dominates``):
-    the unranked points with no unranked dominator form the next front.
+    ``points`` are (m, 2) effective objectives (``_effective_points``). Ranks
+    peel ``dominance[i, j]`` (i dominates j, the test of ``dominates``): the
+    unranked points with no unranked dominator form the next front. Crowding
+    takes every front at once: along each axis, points sort by front, then
+    by value (stably), the ends of a front are infinite, and a point inside
+    one adds its neighbours' gap over the front's range, when that is not 0.
     """
-    points = _effective_points(objectives)
     m = len(points)
     x, y = points[:, :1], points[:, 1:]
     dominance = (x >= x.T) & (y <= y.T) & ((x > x.T) | (y < y.T))
@@ -209,87 +228,99 @@ def _rank_and_crowd(objectives: list[ObjectiveVector]) -> tuple[np.ndarray, np.n
         current, rank = np.flatnonzero((dominators == 0) & (ranks < 0)), rank + 1
 
     crowd = np.zeros(m, dtype=np.float64)
-    for r in range(int(ranks.max()) + 1):
-        members = np.flatnonzero(ranks == r)
-        if len(members) <= 2:
-            crowd[members] = np.inf
-            continue
-        for axis in range(2):
-            order = members[np.argsort(points[members, axis], kind="stable")]
-            lo, hi = points[order[0], axis], points[order[-1], axis]
-            crowd[order[0]] = np.inf
-            crowd[order[-1]] = np.inf
-            if hi > lo:
-                gaps = (points[order[2:], axis] - points[order[:-2], axis]) / (hi - lo)
-                crowd[order[1:-1]] += gaps
+    for axis in range(2):
+        order = np.lexsort((points[:, axis], ranks))
+        value, front = points[order, axis], ranks[order]
+        starts = np.r_[True, front[1:] != front[:-1]]
+        ends = np.r_[starts[1:], True]
+        group = np.cumsum(starts) - 1
+        span = (value[ends] - value[starts])[group]
+        inner = np.flatnonzero(~starts & ~ends & (span > 0))
+        crowd[order[starts | ends]] = np.inf
+        crowd[order[inner]] += (value[inner + 1] - value[inner - 1]) / span[inner]
     return ranks, crowd
 
 
-def _evolutionary(n: int, evaluate, cfg: SearchConfig) -> None:
-    """Elitist NSGA-II loop over binary genomes with a no-revisit archive."""
+def _evolutionary(n: int, evaluate, cfg: SearchConfig, limit: int) -> None:
+    """Elitist NSGA-II loop over binary genomes with a no-revisit archive.
+
+    A generation is held as arrays: its genomes' bits (one row each) and
+    their effective objectives. Random numbers are drawn in one fixed order,
+    so a seed gives one archive.
+    """
     rng = np.random.default_rng(cfg.seed)
     mutation = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
     seen: set[tuple[int, ...]] = set()
+    genes: list[bytes] = []
+    points: list[tuple[float, float]] = []
 
-    def admit(bits: tuple[int, ...]) -> tuple[tuple[int, ...], ObjectiveVector] | None:
-        novel = _novel_bits(bits, rng, seen)
+    def admit(bits: tuple[int, ...]) -> bool:
+        novel = _novel_bits(bits, rng, seen, limit)
         if novel is None:
-            return None
+            return False
         seen.add(novel)
-        return (novel, evaluate(novel))
+        genes.append(bytes(novel))
+        points.append(evaluate(novel).effective())
+        return True
 
-    parents: list[tuple[tuple[int, ...], ObjectiveVector]] = []
-    while len(parents) < min(cfg.population, cfg.budget):
-        member = admit(_random_bits(rng, n))
-        if member is None:
+    def generation() -> tuple[np.ndarray, np.ndarray]:
+        """The admitted genomes since the last call, as arrays."""
+        bits = np.frombuffer(b"".join(genes), dtype=np.uint8).reshape(len(genes), n)
+        result = bits, np.array(points, dtype=np.float64).reshape(len(points), 2)
+        genes.clear()
+        points.clear()
+        return result
+
+    while len(genes) < min(cfg.population, cfg.budget):
+        if not admit(_random_bits(rng, n, limit)):
             return
-        parents.append(member)
+    parents, parent_points = generation()
     evaluated = len(parents)
 
     while evaluated < cfg.budget:
-        ranks, crowd = _rank_and_crowd([obj for _, obj in parents])
+        ranks, crowd = (a.tolist() for a in _rank_and_crowd(parent_points))
 
-        def tournament() -> tuple[int, ...]:
-            i, j = rng.integers(len(parents), size=2)
+        def tournament() -> np.ndarray:
+            i, j = rng.integers(len(parents), size=2).tolist()
             if ranks[i] != ranks[j]:
                 winner = i if ranks[i] < ranks[j] else j
             elif crowd[i] != crowd[j]:
                 winner = i if crowd[i] > crowd[j] else j
             else:
                 winner = i if rng.random() < 0.5 else j
-            return parents[winner][0]
+            return parents[winner]
 
-        offspring: list[tuple[tuple[int, ...], ObjectiveVector]] = []
         goal = min(cfg.population, cfg.budget - evaluated)
-        while len(offspring) < goal:
-            p1 = np.array(tournament(), dtype=np.int64)
-            p2 = np.array(tournament(), dtype=np.int64)
+        while len(genes) < goal:
+            p1, p2 = tournament(), tournament()
             if rng.random() < cfg.crossover_rate:
-                mask = rng.random(n) < 0.5
-                child = np.where(mask, p1, p2)
+                child = np.where(rng.random(n) < 0.5, p1, p2)
             else:
                 child = p1.copy()
-            child = child ^ (rng.random(n) < mutation)
-            if not child.any():
-                child[int(rng.integers(n))] = 1
-            member = admit(tuple(int(b) for b in child))
-            if member is None:
+            child ^= rng.random(n) < mutation
+            _repair(child, rng, limit)
+            if not admit(tuple(child.tolist())):
                 return
-            offspring.append(member)
+        offspring, offspring_points = generation()
         evaluated += len(offspring)
 
         # Elitist environmental selection over parents plus offspring.
-        combined = parents + offspring
-        ranks, crowd = _rank_and_crowd([obj for _, obj in combined])
-        order = sorted(range(len(combined)), key=lambda i: (ranks[i], -crowd[i]))
-        parents = [combined[i] for i in order[: cfg.population]]
+        combined = np.concatenate([parents, offspring])
+        combined_points = np.concatenate([parent_points, offspring_points])
+        ranks, crowd = _rank_and_crowd(combined_points)
+        keep = np.lexsort((-crowd, ranks))[: cfg.population]
+        parents, parent_points = combined[keep], combined_points[keep]
 
 
 def search(pool: Pool, evaluator, cfg: SearchConfig) -> SearchResult:
     """Run the configured candidate generation and archive every evaluation.
 
     The returned front covers the whole archive. Exhaustive search requires
-    a pool of at most 2^20 genomes.
+    a pool of at most 2^20 genomes. ``evaluator`` is an ``EnsembleEvaluator``
+    (or a callable with its ``total``): a genome cannot have more members
+    than the union has rows, so no search proposes one. Exhaustive search
+    skips such masks; random search and NSGA-II repair such a genome as they
+    repair an empty one, by clearing members drawn from their generator.
     """
     n = pool.size
     if n < 1:
@@ -309,13 +340,14 @@ def search(pool: Pool, evaluator, cfg: SearchConfig) -> SearchResult:
                 f"exhaustive search is capped at {EXHAUSTIVE_CAP} generators, pool has {n}"
             )
         for mask in range(1, (1 << n)):
-            evaluate_bits(_bits_from_mask(mask, n))
+            if mask.bit_count() <= evaluator.total:
+                evaluate_bits(_bits_from_mask(mask, n))
     elif cfg.algorithm is Algorithm.RANDOM:
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.budget):
-            evaluate_bits(_random_bits(rng, n))
+            evaluate_bits(_random_bits(rng, n, evaluator.total))
     else:
-        _evolutionary(n, evaluate_bits, cfg)
+        _evolutionary(n, evaluate_bits, cfg, evaluator.total)
 
     return SearchResult(front=extract_front(evaluations), evaluations=tuple(evaluations))
 

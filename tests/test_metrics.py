@@ -26,7 +26,7 @@ from ganens import (
     pairwise_matrix,
 )
 import ganens.metrics
-from ganens.metrics import EIGENVALUE_CLAMP, _UNIT_ROUNDOFF, _closed_ball, _exact_squared
+from ganens.metrics import EIGENVALUE_CLAMP, _UNIT_ROUNDOFF, _exact_squared, _listed_inside
 
 
 def brute_force_density_coverage(ref, cand, k):
@@ -328,13 +328,17 @@ class TestReferenceEquality:
         assert exact.tolist() == [[True, False, False, False], [False, False, True, False]]
         sure = pairwise_distances(x, y) ** 2
         band = 0.01 + 8.0 * _UNIT_ROUNDOFF
-        # One unsure entry at a time: a block one entry short of sure must
-        # still be recomputed, inside or outside the ball.
+        # One unsure entry at a time: it must be listed and recomputed, inside
+        # or outside the ball.
         for value in (np.nan, 1.0 - band, 1.0 + band):
             for entry in ((0, 0), (1, 2), (0, 1), (1, 3)):
                 estimate = sure.copy()
                 estimate[entry] = value
-                inside = _closed_ball(x, y, 0, estimate, radius, slack)
+                rows, cols = _listed_inside(
+                    x, y, 0, estimate, radius, slack, np.empty(estimate.shape, dtype=bool)
+                )
+                inside = np.zeros(estimate.shape, dtype=bool)
+                inside[rows, cols] = True
                 assert np.array_equal(inside, exact), (value, entry)
 
     def test_band_recompute_sums_in_reference_order(self):

@@ -19,7 +19,7 @@ from ganens import (
     select_best,
     uniobjective_search,
 )
-from ganens.optimize import _bits_from_mask, _novel_bits, _rank_and_crowd
+from ganens.optimize import _bits_from_mask, _effective_points, _novel_bits, _rank_and_crowd
 
 from conftest import make_pool
 
@@ -194,7 +194,7 @@ class TestExtractFront:
         with pytest.raises(ParameterError, match="orientations"):
             extract_front(evaluated)
         with pytest.raises(ParameterError, match="orientations"):
-            _rank_and_crowd([o for _, o in evaluated])
+            _effective_points([o for _, o in evaluated])
 
 
 class TestRankAndCrowd:
@@ -202,19 +202,20 @@ class TestRankAndCrowd:
     @given(archive=archives())
     def test_equals_pairwise_reference(self, archive):
         objectives = [o for _, o in archive]
-        ranks, crowd = _rank_and_crowd(objectives)
+        ranks, crowd = _rank_and_crowd(_effective_points(objectives))
         expected_ranks, expected_crowd = pairwise_rank_and_crowd(objectives)
         assert np.array_equal(ranks, expected_ranks)
         assert np.array_equal(crowd, expected_crowd)
 
 
-def listed_novel_bits(bits, rng, seen):
-    """Reference for pools of at most 20 generators: list every unseen mask, then draw."""
+def listed_novel_bits(bits, rng, seen, limit):
+    """Reference for pools of at most 20 generators: list every unseen mask of at most
+    ``limit`` members, then draw."""
     if bits not in seen:
         return bits
     n = len(bits)
-    space = (1 << n) - 1
-    if len(seen) >= space:
+    feasible = [m for m in range(1, 1 << n) if bin(m).count("1") <= limit]
+    if len(seen) >= len(feasible):
         return None
     for flips in (1, 2, 4, 8):
         for _ in range(16):
@@ -223,11 +224,15 @@ def listed_novel_bits(bits, rng, seen):
                 cand[pos] ^= 1
             if sum(cand) == 0:
                 cand[int(rng.integers(n))] = 1
+            elif sum(cand) > limit:
+                members = [i for i, b in enumerate(cand) if b]
+                for pos in rng.choice(members, sum(cand) - limit, replace=False):
+                    cand[pos] = 0
             t = tuple(cand)
             if t not in seen:
                 return t
     seen_masks = {sum(b << i for i, b in enumerate(s)) for s in seen}
-    remaining = [m for m in range(1, space + 1) if m not in seen_masks]
+    remaining = [m for m in feasible if m not in seen_masks]
     return _bits_from_mask(remaining[int(rng.integers(len(remaining)))], n)
 
 
@@ -235,13 +240,19 @@ class TestNovelBits:
     @settings(max_examples=200)
     @given(data=st.data(), n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1))
     def test_equals_listing_reference(self, data, n, seed):
-        # A nearly full archive makes the random flips miss, so the exact draw runs.
-        space = (1 << n) - 1
-        unseen = data.draw(st.sets(st.integers(1, space), max_size=3))
-        seen = {_bits_from_mask(m, n) for m in range(1, space + 1) if m not in unseen}
+        # A nearly full archive makes the random flips miss, so the exact draw runs;
+        # a member limit below n leaves genomes out of the space.
+        limit = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+        feasible = [m for m in range(1, 1 << n) if bin(m).count("1") <= limit]
+        unseen = data.draw(st.sets(st.sampled_from(feasible), max_size=3))
+        seen = {_bits_from_mask(m, n) for m in feasible if m not in unseen}
+        if not seen:
+            return
         bits = data.draw(st.sampled_from(sorted(seen)))
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _novel_bits(bits, rng, seen) == listed_novel_bits(bits, reference_rng, seen)
+        got = _novel_bits(bits, rng, seen, limit)
+        assert got == listed_novel_bits(bits, reference_rng, seen, limit)
+        assert got is None or sum(got) <= limit
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
