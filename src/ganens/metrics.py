@@ -47,18 +47,20 @@ splits ERR into a part per reference row and a part per candidate row,
 and bounds row i by its own part plus the largest candidate part, so no
 N x M array of bounds is built.
 
-- A ball test ``d <= r`` takes two comparisons against the guard band
-  ``band = ERR + 8 u r^2``: the entry is inside when ``s^ < r^2 - band``
-  and outside when ``s^ > r^2 + band``. The ``8 u r^2`` term covers the
-  rounding of ``r^2`` and of ``sqrt``, so a squared distance that far from
-  ``r^2`` cannot round to the other side of r. When the two counts cover
-  the block, that is the whole test; otherwise the entries that are
-  neither, NaN included, are recomputed exactly.
+- A ball test ``d <= r`` uses the guard band ``band = ERR + 8 u r^2``:
+  the entry is inside when ``s^ < r^2 - band`` and outside when
+  ``s^ > r^2 + band``. The ``8 u r^2`` term covers the rounding of ``r^2``
+  and of ``sqrt``, so a squared distance that far from ``r^2`` cannot
+  round to the other side of r. One comparison over a block lists the
+  entries not above ``r^2 + band``, NaN included (a few percent on the
+  pools measured); of those, the ones not below ``r^2 - band`` are
+  recomputed exactly (``_listed_inside``).
 - A k-NN radius is the k-th smallest exact squared distance in its row,
   then ``sqrt`` (which keeps order). With H the k-th smallest estimate in
   the row, that value is at most H + ERR, so only entries whose estimate
   is at most H + 2 ERR can be among the k smallest; those are recomputed
-  exactly and the k-th of them is taken.
+  exactly and the k-th of them is taken. Each set has its own centre, and
+  ``knn_radii`` takes a stack of equal-size sets in one product per block.
 
 The bound assumes that no squared norm overflows, which float32 data (as
 ``EmbeddingSet`` stores it) cannot reach. A NaN estimate or bound always
@@ -100,7 +102,9 @@ _SMALLEST_SUBNORMAL = 2.0**-1074
 _ERR_PER_DIM = 10.0
 _ERR_BASE = 32.0
 # Entries per block of the estimated distance matrix: a block and its few
-# temporaries stay within some megabytes whatever N is.
+# temporaries stay within some megabytes whatever N is. knn_radii and
+# ball_hits take a quarter block, whose copies and masks stay in a core's
+# 2 MiB L2 cache; the pairwise kernel fills one full-size buffer in place.
 _BLOCK_ENTRIES = 1 << 18
 # Right-hand entries per chunk of candidate sets stacked for one reference.
 _CHUNK_ENTRIES = _BLOCK_ENTRIES // 4
@@ -251,7 +255,7 @@ def _pair_blocks(x: np.ndarray, y: np.ndarray):
     centre = x.mean(axis=0)
     left, slack_x = _left_rows(x, centre)
     right, slack_y = _right_rows(y, centre)
-    step = max(1, _BLOCK_ENTRIES // right.shape[0])
+    step = max(1, (_BLOCK_ENTRIES // 4) // right.shape[0])
     for start in range(0, left.shape[0], step):
         yield start, left[start : start + step] @ right.T, slack_x[start : start + step], slack_y
 
@@ -320,7 +324,7 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
     # estimate is within 2 * slack_i of kth_estimate can reach it.
     slack = slack_rows + slack_cols.max(axis=1, keepdims=True)
     kth = np.empty((sets, n), dtype=np.float64)
-    entries = max(1, _BLOCK_ENTRIES // 4)  # a block and its partitioned copy stay in L2 cache
+    entries = max(1, _BLOCK_ENTRIES // 4)
     group = max(1, entries // (n * n))
     step = max(1, min(n, entries // n))
     for lo in range(0, sets, group):
@@ -412,9 +416,9 @@ def pairwise_density_coverage(
     n, rows, width = len(parts), np.array([part.shape[0] for part in parts]), parts[0].shape[1] + 2
     radii = []
     while len(radii) < n:
-        # One stack per run of equal-size sets, as many as a block of entries holds framed.
+        # One stack per run of equal-size sets, as many as knn_radii takes in one block.
         lo = len(radii)
-        cap = lo + max(1, _BLOCK_ENTRIES // (rows[lo] * width))
+        cap = lo + max(1, (_BLOCK_ENTRIES // 4) // (rows[lo] * max(rows[lo], width)))
         hi = lo + 1
         while hi < min(n, cap) and rows[hi] == rows[lo]:
             hi += 1

@@ -20,8 +20,17 @@ first row inside real ball i (the row count if none is). A union then has
 ``sum(prefix_g[take_g])`` hits over ``sum(take_g)`` rows and covers ball i
 iff ``first_g[i] < take_g`` for some member g. Ball decisions are exact and
 counts are integers, so this equals ``intra_d`` of the built union bit for
-bit, whatever the row order inside the union; ``intra_d`` and
-``build_union`` stay as the reference.
+bit, whatever the row order inside the union.
+
+An evaluation is array work. It finds the genome's members once, as an
+index array that Intra-d and Inter-d share. The quotas are
+``divmod(total, n)`` on arrays, as ``quota_plan`` splits them, and are
+capped at the members' rows only when some quota can exceed them;
+``capped_plan`` runs only when a member falls short, to word the
+ShortfallWarnings. Inter-d sums ``V[m][:, m]``, the same C-ordered block
+that ``inter_d`` takes through ``np.ix_``, so the sum has the same bits.
+``intra_d``, ``inter_d``, ``capped_plan`` and ``build_union`` stay as the
+reference.
 """
 from __future__ import annotations
 
@@ -384,6 +393,8 @@ class EnsembleEvaluator:
         self.cfg = cfg if cfg is not None else MetricConfig()
         self.seed = int(seed)
         self.total = pool.real.rows if total is None else int(total)
+        if self.total < 1:
+            raise ParameterError(f"union total must be >= 1, got {self.total}")
         self.sample_per_generator = sample_per_generator
         self._ref = pool.ref
         self._matrix: PairwiseMatrix | None = None

@@ -317,6 +317,46 @@ class TestReferenceEquality:
         assert_entries_equal_reference(matrix, pool, k, standardize)
         assert (matrix.values == 0).all(axis=1).any()
 
+    @settings(max_examples=200)
+    @given(data=st.data(), k_draw=st.integers(0, 100), block_entries=st.integers(1, 400))
+    def test_stacked_radii_equal_one_set_calls(self, data, k_draw, block_entries):
+        # Small blocks split a stack into groups of whole sets, or a set into
+        # blocks of rows; copies within and across sets make ties and zero radii.
+        sets, n, dim = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 7), (2, 9), (1, 4)))
+        kind = data.draw(st.sampled_from(["grid", "float32", "normal"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        flat = grid_or_normal_rows(rng, kind, sets * n, dim)
+        if data.draw(st.booleans()):
+            flat[rng.integers(0, sets * n, sets * n // 2)] = flat[rng.integers(0, sets * n, sets * n // 2)]
+        stack = flat.reshape(sets, n, dim)
+        k = 1 + k_draw % (n - 1)
+        want = np.stack([knn_radii(x, k).radii for x in stack])
+        assert np.array_equal(want, np.stack([reference_radii(x, k) for x in stack]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ganens.metrics, "_BLOCK_ENTRIES", block_entries)
+            assert np.array_equal(knn_radii(stack, k).radii, want)
+            assert np.array_equal(knn_radii(stack[0], k).radii, want[0])
+
+    @settings(max_examples=200)
+    @given(sets=ball_sets(), data=st.data(), k_draw=st.integers(0, 100),
+           block_entries=st.integers(1, 400))
+    def test_segmented_hits_equal_one_call_per_set(self, sets, data, k_draw, block_entries):
+        # One call over consecutive candidate sets gives each set's own counts
+        # and first hits, whatever blocks the balls' rows fall into.
+        x, y = sets
+        k = 1 + k_draw % (x.shape[0] - 1)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(y) - 1), max_size=4)))
+        bounds = [0, *cuts, len(y)]
+        lengths = np.diff(bounds)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ganens.metrics, "_BLOCK_ENTRIES", block_entries)
+            counts, first = ball_hits(x, y, k, segments=lengths)
+        assert first.shape == (len(lengths), len(x))
+        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            own_counts, own_first = ball_hits(x, y[lo:hi], k)
+            assert np.array_equal(counts[lo:hi], own_counts)
+            assert np.array_equal(first[s], own_first)
+
     @pytest.mark.parametrize("axis", ["column", "row"])
     def test_closed_ball_recomputes_nan_and_band_edges(self, axis):
         # Radius 1 everywhere; row 0 holds y0 and row 1 holds y2, nothing else.

@@ -47,6 +47,19 @@ class TestGenome:
     def test_non_binary_rejected(self):
         with pytest.raises(ParameterError, match="0 or 1"):
             EnsembleGenome((0, 2, 0))
+        for bits in [(1, -1), (1, 256), (1, 2.0)]:
+            with pytest.raises(ParameterError, match="0 or 1"):
+                EnsembleGenome(bits)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [(True, False, True), tuple(np.array([1, 0, 1])), tuple(np.array([True, False, True])),
+         (1.0, 0.0, 1.0), [1, 0, 1]],
+        ids=["bool", "numpy-int", "numpy-bool", "float", "list"],
+    )
+    def test_bits_are_stored_as_ints(self, bits):
+        g = EnsembleGenome(bits)
+        assert g.bits == (1, 0, 1) and all(type(b) is int for b in g.bits)
 
     def test_from_indices(self):
         g = EnsembleGenome.from_indices([2, 0], 4)
@@ -378,6 +391,10 @@ class TestEvaluator:
         evaluator = EnsembleEvaluator(pool, MetricConfig(k=2), seed=0)
         assert evaluator.evaluate(genome((0, 1, 0), pool)).inter == 0.0
 
+    def test_total_below_one_rejected(self):
+        with pytest.raises(ParameterError, match="total must be >= 1, got 0"):
+            EnsembleEvaluator(self._pool(), MetricConfig(k=2), total=0)
+
     @pytest.mark.parametrize("kind", ["dnc", "fid"])
     def test_genome_outnumbering_total_raises(self, kind):
         # The searches never propose such a genome; one passed in directly is an error.
@@ -466,6 +483,74 @@ class TestEvaluatorEqualsReference:
         evaluator = EnsembleEvaluator(pool, MetricConfig(kind=kind, k=2), seed=0, total=5)
         with pytest.warns(ShortfallWarning, match="short by 2"):
             evaluator.evaluate(genome((1,), pool))
+
+
+@st.composite
+def short_member_cases(draw):
+    """A pool whose generators hold 2 to 9 rows each, several below a quota, and a
+    union size from 1 to twice the generators' rows together, so that every member,
+    some members or none fall short, and some genomes outnumber the total."""
+    dim = draw(st.integers(1, 3))
+    n_real = draw(st.integers(3, 12))
+    sizes = draw(st.lists(st.integers(2, 9), min_size=2, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = rng.integers(-2, 3, size=(n_real, dim)).astype(np.float64)
+    sets = {}
+    for g, size in enumerate(sizes):
+        data = rng.standard_normal((size, dim))
+        data[: size // 2] = real[rng.integers(0, n_real, size // 2)]
+        sets[f"g{g}"] = data
+    pool = make_pool(sets, real)
+    k = draw(st.integers(1, min(n_real, *sizes) - 1))
+    total = draw(st.integers(1, 2 * sum(sizes)))
+    genomes = []
+    for _ in range(draw(st.integers(1, 5))):
+        bits = draw(st.lists(st.integers(0, 1), min_size=len(sizes), max_size=len(sizes)))
+        bits[draw(st.integers(0, len(sizes) - 1))] = 1
+        genomes.append(EnsembleGenome(tuple(bits), pool.ref))
+    return pool, k, genomes, total
+
+
+def shortfalls(call):
+    """``call()``'s result (or its ParameterError) and the texts of its ShortfallWarnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except ParameterError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught if w.category is ShortfallWarning]
+
+
+class TestArrayEvaluation:
+    """The evaluator's member arrays and quota arithmetic give the references' values and words."""
+
+    @settings(max_examples=300)
+    @given(
+        case=short_member_cases(),
+        kind=st.sampled_from(["dnc", "fid"]),
+        standardize=st.booleans(),
+        seed=st.integers(0, 3),
+    )
+    def test_objectives_and_warnings_equal_reference(self, case, kind, standardize, seed):
+        pool, k, genomes, total = case
+        cfg = MetricConfig(kind=kind, k=k, standardize=standardize)
+        evaluator = EnsembleEvaluator(pool, cfg, seed=seed, total=total)
+        for g in genomes:
+            got, words = shortfalls(lambda: evaluator.evaluate(g))
+            plan, want_words = shortfalls(lambda: capped_plan(g, pool, total))
+            want, _ = shortfalls(lambda: intra_d(g, pool, cfg, seed, total=total))
+            if isinstance(plan, ParameterError):  # more members than rows in the union
+                assert isinstance(got, ParameterError) and str(got) == str(plan)
+                assert words == want_words == []
+                continue
+            assert words == want_words
+            if isinstance(want, ParameterError):  # a one-row union has no covariance
+                assert isinstance(got, ParameterError)
+                continue
+            assert got.intra == want
+            assert got.inter == inter_d(g, evaluator.matrix)
+            assert got.member_count == g.member_count
 
 
 class TestOnePlan:
