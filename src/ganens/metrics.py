@@ -306,9 +306,10 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
     ``reference`` may also be a stack, an (S, N, D) array of S sets of N rows
     each; the radii are then (S, N), row s those of set s alone, equal to a
     call on set s by itself. One set is a stack of one. Whole sets share an
-    estimate block while it holds at most ``_BLOCK_ENTRIES`` entries, and a
-    set larger than that takes several blocks of rows, so the temporaries
-    stay within some megabytes; the stack itself is the caller's to bound.
+    estimate block while it holds at most a quarter of ``_BLOCK_ENTRIES``
+    entries, and a set larger than that takes several blocks of rows, so
+    the temporaries stay within a core's L2 cache; the stack itself is the
+    caller's to bound.
     """
     ref = _as_matrix(reference)
     stack = ref if ref.ndim == 3 else ref[None]
@@ -416,7 +417,8 @@ def pairwise_density_coverage(
     n, rows, width = len(parts), np.array([part.shape[0] for part in parts]), parts[0].shape[1] + 2
     radii = []
     while len(radii) < n:
-        # One stack per run of equal-size sets, as many as knn_radii takes in one block.
+        # A run of equal-size sets goes to knn_radii as stacks of at most one of
+        # its blocks, which also bounds the stack's framed copy.
         lo = len(radii)
         cap = lo + max(1, (_BLOCK_ENTRIES // 4) // (rows[lo] * max(rows[lo], width)))
         hi = lo + 1
