@@ -260,15 +260,6 @@ def _pair_blocks(x: np.ndarray, y: np.ndarray):
         yield start, left[start : start + step] @ right.T, slack_x[start : start + step], slack_y
 
 
-def _unsure(sure: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the entries where ``sure`` is false (overwrites it).
-
-    Rows of a stacked ``sure`` (S, N, M) count on through the stack: set s, row i is s * N + i.
-    """
-    np.logical_not(sure, out=sure)
-    return np.divmod(np.flatnonzero(sure), sure.shape[-1])
-
-
 def _listed_inside(
     x: np.ndarray, y: np.ndarray, start: int, estimate: np.ndarray,
     radius: np.ndarray, slack: np.ndarray, listed: np.ndarray,
@@ -338,8 +329,10 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
             estimate[:, own, own + start] = np.inf
             cutoff = np.partition(estimate, k - 1, axis=2)[..., k - 1]
             cutoff += 2.0 * slack[block_sets, block_rows]
-            # Row r of the block is row r % height of set lo + r // height.
-            block_row, cols = _unsure(estimate > cutoff[..., None])
+            # Listed: not above the cutoff, NaN included. Row r of the block is
+            # row r % height of set lo + r // height.
+            listed = np.logical_not(estimate > cutoff[..., None])
+            block_row, cols = np.divmod(np.flatnonzero(listed), n)
             first_row = (lo + block_row // height) * n
             exact = _exact_squared(
                 points, points, first_row + start + block_row % height, first_row + cols

@@ -371,14 +371,11 @@ class EnsembleEvaluator:
     (no eigenvectors) of one covariance product. The pairwise matrix is
     built lazily on first use.
 
-    An evaluation finds the members once, as an index array, and both
-    objectives use it. Quotas are array arithmetic, ``divmod(total, n)``
-    as ``quota_plan`` splits it; only when a quota may exceed some member's
-    rows are they capped, and only when one does is ``capped_plan`` called,
-    for its ShortfallWarnings. For density and coverage the rest is integer
-    work over the members, independent of the dimension. Either way
-    Intra-d and Inter-d equal ``intra_d`` and ``inter_d`` bit for bit;
-    those, ``capped_plan`` and ``build_union`` stay as the reference.
+    An evaluation shares one member index array between both objectives
+    and takes its quotas on arrays, calling ``capped_plan`` only to word a
+    shortfall (module docstring); for density and coverage it is integer
+    work, independent of the dimension. Either way Intra-d and Inter-d
+    equal ``intra_d`` and ``inter_d`` bit for bit.
     """
 
     def __init__(
