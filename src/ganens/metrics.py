@@ -66,20 +66,17 @@ The bound assumes that no squared norm overflows, which float32 data (as
 ``EmbeddingSet`` stores it) cannot reach. A NaN estimate or bound always
 falls in the band and is recomputed.
 
-``pairwise_density_coverage`` takes both orders of every pair of sets. All
-its rows share one centre, the real set's mean in the frame: c enters the
-bound only through the rounding of x - c and y - c, so any fixed c keeps
-it, and each set's rows depend on the set alone. Consecutive whole sets are
-stacked in chunks of at most ``_CHUNK_ENTRIES`` right-hand entries (rows
-times D + 2; a larger set is a chunk by itself), each framed and built into
-rows once. Each earlier set takes one product against all the chunk's later
-columns, in row blocks of ``_BLOCK_ENTRIES``. In a block, one comparison
-per ball side lists the entries not above r^2 + band, NaN included (2.2% on
-a P=110, N=100, D=8 pool); only those are decided, as above. A ball's
-coverage is an ``any`` over all blocks. The caps keep every array far below
-the pool's size. The estimate buffer and the mask are allocated once per
-matrix and written through ``out=``: a fresh 2 MiB result per block lies
-above glibc's mmap threshold (128 KiB), so its pages would fault in anew.
+``_ball_kernel`` takes every ball decision: the hits of x's balls on
+consecutive sets of y rows (``ball_hits``) and, from the same estimate, the
+x rows in each of y's balls. Both are centred on the caller's centre, which
+keeps the bound (c enters it only through the rounding of x - c and y - c).
+It writes each block through ``out=`` into the caller's buffers: a fresh
+2 MiB result per block lies above glibc's mmap threshold (128 KiB), so its
+pages would fault in anew. ``pairwise_density_coverage`` centres every set
+on the real set's mean in the frame and stacks consecutive whole sets in
+chunks of at most ``_CHUNK_ENTRIES`` entries (rows times D + 2; a larger set
+is a chunk by itself), each built into rows once. Each earlier set takes one
+kernel call per chunk; per-set sums of its outputs give both orders.
 """
 from __future__ import annotations
 
@@ -101,10 +98,9 @@ _SMALLEST_SUBNORMAL = 2.0**-1074
 # ERR = (_ERR_PER_DIM * D + _ERR_BASE) * (u * (|a|^2 + |b|^2) + 2^-1074)
 _ERR_PER_DIM = 10.0
 _ERR_BASE = 32.0
-# Entries per block of the estimated distance matrix: a block and its few
-# temporaries stay within some megabytes whatever N is. knn_radii and
-# ball_hits take a quarter block, whose copies and masks stay in a core's
-# 2 MiB L2 cache; the pairwise kernel fills one full-size buffer in place.
+# Entries per block of the estimated distance matrix, whatever N is. knn_radii
+# and ball_hits take a quarter block, whose copies and masks stay in a core's
+# 2 MiB L2 cache; the pairwise matrix fills one full-size buffer in place.
 _BLOCK_ENTRIES = 1 << 18
 # Right-hand entries per chunk of candidate sets stacked for one reference.
 _CHUNK_ENTRIES = _BLOCK_ENTRIES // 4
@@ -243,23 +239,6 @@ def _right_rows(y: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return right, right[..., dim + 1] * (coef * _UNIT_ROUNDOFF)
 
 
-def _pair_blocks(x: np.ndarray, y: np.ndarray):
-    """Row blocks of estimated squared distances between x and y, centred on the mean of x.
-
-    ``[a, |a|^2, 1] . [-2b, 1, |b|^2] = |a|^2 + |b|^2 - 2 a.b`` in one
-    product. Yields ``(start, estimate, slack_x, slack_y)``: ``estimate``
-    covers the rows x[start:start + len(slack_x)], and ``|estimate - s|`` is
-    at most ``slack_x[i] + slack_y[j]`` entry by entry, against the squared
-    distance s that ``pairwise_distances`` rounds to (module docstring).
-    """
-    centre = x.mean(axis=0)
-    left, slack_x = _left_rows(x, centre)
-    right, slack_y = _right_rows(y, centre)
-    step = max(1, (_BLOCK_ENTRIES // 4) // right.shape[0])
-    for start in range(0, left.shape[0], step):
-        yield start, left[start : start + step] @ right.T, slack_x[start : start + step], slack_y
-
-
 def _listed_inside(
     x: np.ndarray, y: np.ndarray, start: int, estimate: np.ndarray,
     radius: np.ndarray, slack: np.ndarray, listed: np.ndarray,
@@ -286,6 +265,50 @@ def _listed_inside(
         exact = np.sqrt(_exact_squared(x, y, rows[unsure] + start, cols[unsure]))
         inside[unsure] = exact <= radius.ravel()[ball[unsure]]
     return rows[inside], cols[inside]
+
+
+def _ball_kernel(
+    x: np.ndarray, y: np.ndarray, centre: np.ndarray, y_rows: tuple[np.ndarray, np.ndarray],
+    radius: np.ndarray, lengths: np.ndarray, buffer: np.ndarray, mask: np.ndarray,
+    radius_y: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``ball_hits``' ``(counts, first)`` for x's balls of ``radius`` on the consecutive
+    sets of ``lengths`` rows in y, and ``back[j]``, the number of x rows inside y's
+    ball j of ``radius_y`` (None without it). ``y_rows`` is ``_right_rows(y, centre)``,
+    which a caller builds once for every x it meets. Each block of x rows, as many as
+    ``buffer`` and ``mask`` hold (at least one), is estimated and listed into them.
+    """
+    left, slack_x = _left_rows(x, centre)
+    right, slack_y = y_rows
+    m = y.shape[0]
+    offsets = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    counts = np.zeros(m, dtype=np.int64)
+    first = np.repeat(lengths[:, None], x.shape[0], axis=1)
+    back = None if radius_y is None else np.zeros(m, dtype=np.int64)
+    # Slacks over all rows or columns still bound every entry of a block.
+    slack_i, slack_j = slack_x + slack_y.max(), slack_y + slack_x.max()
+    step = buffer.size // m
+    for start in range(0, x.shape[0], step):
+        block = slice(start, start + step)
+        out = buffer[: len(left[block]) * m].reshape(-1, m)
+        estimate = np.matmul(left[block], right.T, out=out)
+        listed = mask[: estimate.size].reshape(estimate.shape)
+        rows, cols = _listed_inside(
+            x, y, start, estimate, radius[block, None], slack_i[block, None], listed
+        )
+        counts += np.bincount(cols, minlength=m)
+        # Hits come row by row with rising columns, so a (ball, set) key never
+        # falls, and its first occurrence is the set's first row in that ball.
+        key = rows * lengths.size + owner[cols]
+        head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1]))) if key.size else key
+        sets = owner[cols[head]]
+        first[sets, start + rows[head]] = cols[head] - offsets[sets]
+        if back is not None:
+            back += np.bincount(
+                _listed_inside(x, y, start, estimate, radius_y, slack_j, listed)[1], minlength=m
+            )
+    return counts, first, back
 
 
 def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
@@ -344,21 +367,6 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
             kth[block_sets, block_rows] = picked.reshape(count, height)
     radii = np.sqrt(kth)
     return RadiusProfile(k=k, radii=radii if ref.ndim == 3 else radii[0])
-
-
-def _check_pair(ref: np.ndarray, cand: np.ndarray) -> None:
-    if ref.shape[1] != cand.shape[1]:
-        raise ParameterError(
-            f"dimension mismatch: reference D={ref.shape[1]}, candidate D={cand.shape[1]}"
-        )
-
-
-def _profile(ref: np.ndarray, k: int, radii: RadiusProfile | None) -> np.ndarray:
-    if radii is None:
-        return knn_radii(ref, k).radii
-    if radii.k != k or radii.radii.shape[0] != ref.shape[0]:
-        raise ParameterError("radius profile does not match this reference set and k")
-    return radii.radii
 
 
 def _chunks(counts: list[int], width: int):
@@ -424,33 +432,20 @@ def pairwise_density_coverage(
     buffer, mask = np.empty(size), np.empty(size, dtype=bool)  # one of each per matrix
     for lo, hi in chunks:
         y = to_frame(np.concatenate(parts[lo:hi]) if hi - lo > 1 else parts[lo])
-        right, slack_y = _right_rows(y, centre)
-        radius_y, owner = np.concatenate(radii[lo:hi]), np.repeat(np.arange(lo, hi), rows[lo:hi])
+        (right, slack_y), radius_y = _right_rows(y, centre), np.concatenate(radii[lo:hi])
         for i in range(hi - 1):
-            # The sets after set i; slacks over all rows or columns still bound a block.
-            cols = slice(rows[lo : max(lo, i + 1)].sum(), None)
-            x = to_frame(parts[i])
-            left, slack_x = _left_rows(x, centre)
-            slack_i, slack_j = slack_x + slack_y[cols].max(), slack_y[cols] + slack_x.max()
-            held = np.zeros(slack_j.size, dtype=bool)
-            step = max(1, _BLOCK_ENTRIES // held.size)
-            for start in range(0, x.shape[0], step):
-                block = slice(start, start + step)
-                out = buffer[: len(left[block]) * held.size].reshape(-1, held.size)
-                estimate = np.matmul(left[block], right[cols].T, out=out)
-                listed = mask[: estimate.size].reshape(estimate.shape)
-                # The balls of set i, each inside this block.
-                r, c = _listed_inside(
-                    x, y[cols], start, estimate, radii[i][block, None], slack_i[block, None], listed
-                )
-                by_row = np.bincount(r * n + owner[cols][c], minlength=len(estimate) * n)
-                hits[i] += by_row.reshape(-1, n).sum(axis=0)
-                covered[i] += np.count_nonzero(by_row.reshape(-1, n), axis=0)
-                # The balls of the later sets, which may hold rows of set i in several blocks.
-                r, c = _listed_inside(x, y[cols], start, estimate, radius_y[cols], slack_j, listed)
-                hits[:, i] += np.bincount(owner[cols][c], minlength=n)
-                held[c] = True
-            covered[:, i] += np.bincount(owner[cols][held], minlength=n)
+            # Set i against the sets after it: the balls of each side, in one estimate.
+            later = max(lo, i + 1)
+            skip, lengths = rows[lo:later].sum(), rows[later:hi]
+            counts, first, back = _ball_kernel(
+                to_frame(parts[i]), y[skip:], centre, (right[skip:], slack_y[skip:]), radii[i],
+                lengths, buffer, mask, radius_y[skip:],
+            )
+            offsets = np.cumsum(lengths) - lengths
+            hits[i, later:hi] = np.add.reduceat(counts, offsets)
+            covered[i, later:hi] = np.count_nonzero(first < lengths[:, None], axis=1)
+            hits[later:hi, i] = np.add.reduceat(back, offsets)
+            covered[later:hi, i] = np.add.reduceat(back > 0, offsets)
     return hits / (k * rows), covered / rows[:, None]
 
 
@@ -471,34 +466,32 @@ def ball_hits(
     t at once.
 
     ``segments`` splits the candidate rows into consecutive sets of these
-    (positive) row counts. ``first`` is then (len(segments), N): ``first[s, i]``
-    counts from the start of set s, and is set s's row count if none of its
-    rows is inside ball i. One call thus stands for one call per set.
+    row counts, each at least 1, summing to M. ``first`` is then
+    (len(segments), N): ``first[s, i]`` counts from the start of set s, and
+    is set s's row count if none of its rows is inside ball i. One call thus
+    stands for one call per set, and one call of the module's ball kernel
+    (centred on the reference mean) serves them all.
     """
     ref = _as_matrix(reference)
     cand = _as_matrix(candidate)
-    _check_pair(ref, cand)
-    radius = _profile(ref, k, radii)
+    if ref.shape[1] != cand.shape[1]:
+        raise ParameterError(
+            f"dimension mismatch: reference D={ref.shape[1]}, candidate D={cand.shape[1]}"
+        )
+    if radii is not None and (radii.k != k or radii.radii.shape[0] != ref.shape[0]):
+        raise ParameterError("radius profile does not match this reference set and k")
+    radius = knn_radii(ref, k).radii if radii is None else radii.radii
     m = cand.shape[0]
     lengths = np.array([m] if segments is None else segments, dtype=np.int64)
-    offsets = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(lengths.size), lengths)
-    counts = np.zeros(m, dtype=np.int64)
-    first = np.repeat(lengths[:, None], ref.shape[0], axis=1)
-    for start, estimate, slack_x, slack_y in _pair_blocks(ref, cand):
-        stop = start + estimate.shape[0]
-        slack = slack_x + slack_y.max()
-        listed = np.empty(estimate.shape, dtype=bool)
-        rows, cols = _listed_inside(
-            ref, cand, start, estimate, radius[start:stop, None], slack[:, None], listed
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != m:
+        raise ParameterError(
+            f"candidate sets need 1 row or more each and {m} in all, got {lengths.tolist()}"
         )
-        counts += np.bincount(cols, minlength=m)
-        # Hits come row by row with rising columns, so a (ball, set) key never
-        # falls, and its first occurrence is the set's first row in that ball.
-        key = rows * lengths.size + owner[cols]
-        head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if key.size else key
-        sets = owner[cols[head]]
-        first[sets, start + rows[head]] = cols[head] - offsets[sets]
+    size, centre = max(_BLOCK_ENTRIES // 4, m), ref.mean(axis=0)
+    counts, first, _ = _ball_kernel(
+        ref, cand, centre, _right_rows(cand, centre), radius, lengths,
+        np.empty(size), np.empty(size, dtype=bool),
+    )
     return counts, first[0] if segments is None else first
 
 

@@ -290,11 +290,11 @@ def pairwise_matrix(
     size. Each unordered pair is computed once and written to both entries.
 
     Density and coverage are asymmetric, so a dnc entry averages both
-    argument orders, all from one ``pairwise_density_coverage`` call: rows
-    centred on the real set's mean (any fixed centre keeps the error bound),
-    built once per memory-capped chunk of subsamples; exact decisions on only
-    the entries one comparison per ball side lists; and estimate and mask
-    buffers reused, as fresh ones would fault in anew (``metrics`` docstring).
+    argument orders, all from one ``pairwise_density_coverage`` call. Each
+    subsample meets the later ones of a memory-capped chunk in one call of
+    the ball kernel ``ball_hits`` runs on, which decides both orders' balls
+    from one estimate centred on the real set's mean (any fixed centre keeps
+    the error bound; ``metrics`` docstring).
 
     The Frechet distance is symmetric up to rounding (S_a S_b and S_b S_a
     have the same spectrum), so a fid entry is the one value
@@ -407,7 +407,7 @@ class EnsembleEvaluator:
             # smallest integer type that holds the longest generator's row count.
             self._prefix = np.zeros((pool.size, longest + 1), dtype=np.int64)
             self._first = np.empty((pool.size, real.shape[0]), dtype=np.min_scalar_type(longest))
-            # Whole generators share a ball_hits call under the pairwise kernel's chunk cap.
+            # Whole generators share a ball_hits call under the pairwise matrix's chunk cap.
             for lo, hi in _chunks(self._rows.tolist(), real.shape[1] + 2):
                 rows = self._rows[lo:hi]
                 drawn = np.concatenate([pool.members[g][1].data[orders[g]] for g in range(lo, hi)])

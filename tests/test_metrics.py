@@ -134,6 +134,14 @@ class TestDensityCoverage:
         with pytest.raises(ParameterError, match="dimension mismatch"):
             density_coverage(np.zeros((4, 2)), np.zeros((4, 3)), 1)
 
+    @pytest.mark.parametrize("segments", [[4, 4], [2, 2], [6, 0], [7, -1], []])
+    def test_malformed_segments_rejected(self, segments):
+        # On 6 candidate rows, [4, 4] named rows that do not exist and [2, 2] hit an IndexError.
+        rng = np.random.default_rng(8)
+        ref, cand = rng.normal(size=(5, 2)), rng.normal(size=(6, 2))
+        with pytest.raises(ParameterError, match="1 row or more each and 6 in all"):
+            ball_hits(ref, cand, 2, segments=segments)
+
 
 def reference_radii(x, k):
     """k-NN radii from the reference kernel: all pairs, then the k-th order statistic."""

@@ -24,6 +24,7 @@ from ganens import (
     quota_plan,
     subsample_rows,
 )
+import ganens.metrics
 from ganens.objective import PairwiseMatrix, capped_plan
 from ganens.optimize import selection_manifest
 
@@ -531,11 +532,16 @@ class TestArrayEvaluation:
         kind=st.sampled_from(["dnc", "fid"]),
         standardize=st.booleans(),
         seed=st.integers(0, 3),
+        cap_rows=st.integers(1, 20),
     )
-    def test_objectives_and_warnings_equal_reference(self, case, kind, standardize, seed):
+    def test_objectives_and_warnings_equal_reference(self, case, kind, standardize, seed, cap_rows):
+        # A chunk cap of cap_rows rows splits the set-up's generators over several
+        # ball_hits calls, and a cap below a generator's size gives it one alone.
         pool, k, genomes, total = case
         cfg = MetricConfig(kind=kind, k=k, standardize=standardize)
-        evaluator = EnsembleEvaluator(pool, cfg, seed=seed, total=total)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ganens.metrics, "_CHUNK_ENTRIES", cap_rows * (pool.real.dim + 2))
+            evaluator = EnsembleEvaluator(pool, cfg, seed=seed, total=total)
         for g in genomes:
             got, words = shortfalls(lambda: evaluator.evaluate(g))
             plan, want_words = shortfalls(lambda: capped_plan(g, pool, total))
