@@ -5,14 +5,20 @@ around every reference point and count which candidate points fall inside
 them (higher is better); their harmonic combination ``2*dns*cvg/(dns+cvg)``
 is the default scalar metric. The Frechet distance compares Gaussian moment
 summaries of the two sets (lower is better) and serves as the alternative
-metric for ablations. Its trace term ``Tr (S_a S_b)^(1/2)`` needs only the
-eigenvalues of the symmetric product ``S_a^(1/2) S_b S_a^(1/2)``, those
-below ``EIGENVALUE_CLAMP`` taken as zero, so ``frechet_distance`` takes them
-alone (``eigvalsh``: no eigenvectors are formed). S_a S_b and S_b S_a have
-the same spectrum, so the term is the same for both argument orders up to
-rounding. ``covariance_root`` gives S_a^(1/2), which needs the eigenvectors
-of S_a; ``frechet_distance`` accepts it precomputed, so a caller comparing
-one summary against many decomposes S_a only once.
+metric for ablations. It is taken through covariance factors, with no
+covariance root. For any factors with S_a = F_a F_a^T and S_b = F_b F_b^T,
+the nonzero eigenvalues of S_a S_b are those of G^T G with G = F_b^T F_a,
+so the trace term ``Tr (S_a S_b)^(1/2)`` is the sum of the singular values
+of G: the square roots of the ``eigvalsh`` eigenvalues of the smaller Gram
+matrix of G, those below ``EIGENVALUE_CLAMP`` taken as zero (Mathiasen and
+Hvilshoj, "Backpropagating through Frechet Inception Distance", 2020). A
+set used more than once is a ``FactoredSet``: its mean, Tr S and a factor,
+the lower Cholesky factor of S when it has more rows than dimensions and
+Cholesky succeeds, else its centred rows over sqrt(n - 1), rebuilt from its
+rows whenever needed. ``frechet_factored`` takes one product of two stored
+factors, or projects a set's centred rows by a stored factor, then one
+``eigvalsh``. ``gaussian_summary`` and ``frechet_distance`` are the
+reference route, through S_a^(1/2), that tests compare against.
 
 All ball-membership tests use closed balls (distance <= radius), so a set
 compared against itself always attains coverage 1 even when it contains
@@ -80,7 +86,7 @@ kernel call per chunk; per-set sums of its outputs give both orders.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -104,6 +110,8 @@ _ERR_BASE = 32.0
 _BLOCK_ENTRIES = 1 << 18
 # Right-hand entries per chunk of candidate sets stacked for one reference.
 _CHUNK_ENTRIES = _BLOCK_ENTRIES // 4
+# Listed entries decided at once within a block (``_listed_inside``).
+_LISTED_SLICE = 1 << 16
 
 
 class MetricKind(str, Enum):
@@ -242,24 +250,38 @@ def _right_rows(y: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _listed_inside(
     x: np.ndarray, y: np.ndarray, start: int, estimate: np.ndarray,
     radius: np.ndarray, slack: np.ndarray, listed: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Indices ``(rows, cols)`` of the entries of one block of rows from ``start`` with
-    ``d(x_i, y_j) <= radius``, decided exactly, in row-major order.
+    ``d(x_i, y_j) <= radius``, decided exactly, in row-major order, yielded in
+    slices of at most ``_LISTED_SLICE`` listed entries.
 
     ``radius`` is a column (one per x row) or a row (one per y row), and
     ``slack`` bounds the estimate's error along that axis for every entry.
     One comparison into the mask ``listed`` lists the entries not above
     ``r^2 + band``, NaN included; of those, an estimate below ``r^2 - band``
-    is inside, and the rest, in the guard band or NaN, are recomputed.
+    is inside, and the rest, in the guard band or NaN, are recomputed. The
+    slices bound the temporaries of a block whose every entry is listed;
+    only the listed indices outlive a slice.
     """
     squared = radius * radius
     band = slack + (8.0 * _UNIT_ROUNDOFF) * squared
     np.greater(estimate, squared + band, out=listed)
-    flat = np.flatnonzero(np.logical_not(listed, out=listed))
+    every = np.flatnonzero(np.logical_not(listed, out=listed))
+    lower = squared - band
+    for lo in range(0, every.size, _LISTED_SLICE):
+        yield _decided(x, y, start, estimate, every[lo : lo + _LISTED_SLICE], radius, lower)
+
+
+def _decided(
+    x: np.ndarray, y: np.ndarray, start: int, estimate: np.ndarray, flat: np.ndarray,
+    radius: np.ndarray, lower: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_listed_inside``'s ``(rows, cols)`` among the listed entries ``flat`` of the block:
+    inside when the estimate is below ``lower`` (r^2 - band), else recomputed."""
     rows = flat // estimate.shape[1]
     cols = flat - rows * estimate.shape[1]
     ball = rows if radius.ndim == 2 else cols
-    inside = estimate.ravel()[flat] < (squared - band).ravel()[ball]
+    inside = estimate.ravel()[flat] < lower.ravel()[ball]
     unsure = np.flatnonzero(~inside)
     if unsure.size:
         exact = np.sqrt(_exact_squared(x, y, rows[unsure] + start, cols[unsure]))
@@ -294,20 +316,24 @@ def _ball_kernel(
         out = buffer[: len(left[block]) * m].reshape(-1, m)
         estimate = np.matmul(left[block], right.T, out=out)
         listed = mask[: estimate.size].reshape(estimate.shape)
-        rows, cols = _listed_inside(
-            x, y, start, estimate, radius[block, None], slack_i[block, None], listed
-        )
-        counts += np.bincount(cols, minlength=m)
         # Hits come row by row with rising columns, so a (ball, set) key never
-        # falls, and its first occurrence is the set's first row in that ball.
-        key = rows * lengths.size + owner[cols]
-        head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1]))) if key.size else key
-        sets = owner[cols[head]]
-        first[sets, start + rows[head]] = cols[head] - offsets[sets]
+        # falls, and its first occurrence is the set's first row in that ball;
+        # a slice's first key may continue the previous slice's last.
+        last = -1
+        for rows, cols in _listed_inside(
+            x, y, start, estimate, radius[block, None], slack_i[block, None], listed
+        ):
+            counts += np.bincount(cols, minlength=m)
+            if not cols.size:
+                continue
+            key = rows * lengths.size + owner[cols]
+            head = np.flatnonzero(np.concatenate(([key[0] != last], key[1:] != key[:-1])))
+            last = key[-1]
+            sets = owner[cols[head]]
+            first[sets, start + rows[head]] = cols[head] - offsets[sets]
         if back is not None:
-            back += np.bincount(
-                _listed_inside(x, y, start, estimate, radius_y, slack_j, listed)[1], minlength=m
-            )
+            for _, cols in _listed_inside(x, y, start, estimate, radius_y, slack_j, listed):
+                back += np.bincount(cols, minlength=m)
     return counts, first, back
 
 
@@ -545,39 +571,23 @@ def _clamped_eigh(
     return values, vectors
 
 
-def covariance_root(summary: GaussianSummary) -> np.ndarray:
-    """Symmetric square root S^(1/2) of a summary's covariance.
-
-    Taken through the eigendecomposition of S, with eigenvalues below
-    ``EIGENVALUE_CLAMP`` set to zero.
-    """
-    values, vectors = _clamped_eigh(summary.covariance, "summary covariance")
-    return (vectors * np.sqrt(values)) @ vectors.T
-
-
-def frechet_distance(
-    a: GaussianSummary, b: GaussianSummary, root_a: np.ndarray | None = None
-) -> float:
-    """Frechet distance between two Gaussian summaries.
+def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
+    """Frechet distance between two Gaussian summaries: the reference route.
 
     ||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^(1/2)), with the trace
     term the sum of the square roots of the eigenvalues of the symmetrized
-    product S_a^(1/2) S_b S_a^(1/2), taken without eigenvectors.
+    product S_a^(1/2) S_b S_a^(1/2), S_a^(1/2) taken through ``eigh`` of S_a.
     Eigenvalues below ``EIGENVALUE_CLAMP`` are clamped to zero and the
     result is clamped to be nonnegative. Swapping the arguments changes the
-    value only by rounding. Pass ``root_a``, the ``covariance_root`` of
-    ``a``, to skip its eigendecomposition when comparing one summary against
-    many; the result is the same.
+    value only by rounding. The program scores through ``frechet_factored``;
+    this route stays for tests to compare against. Where a covariance is
+    singular, its null space keeps rounding noise above the clamp here.
     """
     if a.dim != b.dim:
         raise ParameterError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if root_a is None:
-        root_a = covariance_root(a)
-    elif root_a.shape != a.covariance.shape:
-        raise ParameterError(
-            f"root_a has shape {root_a.shape} but the covariance has {a.covariance.shape}"
-        )
-    product = root_a @ b.covariance @ root_a
+    values, vectors = _clamped_eigh(a.covariance, "summary covariance")
+    root = (vectors * np.sqrt(values)) @ vectors.T
+    product = root @ b.covariance @ root
     product = (product + product.T) / 2.0
     vals_p, _ = _clamped_eigh(product, "covariance product", with_vectors=False)
     diff = a.mean - b.mean
@@ -587,6 +597,87 @@ def frechet_distance(
         + float(np.trace(b.covariance))
         - 2.0 * float(np.sqrt(vals_p).sum())
     )
+    return max(0.0, value)
+
+
+def _scaled_centred(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The rows of x centred on ``mean`` and divided by sqrt(n - 1): F^T of the
+    centred-rows factor, so that F F^T is x's unbiased covariance."""
+    n = x.shape[0]
+    if n < 2:
+        raise ParameterError(f"need at least 2 rows for a covariance, got {n}")
+    scaled = x - mean
+    scaled /= np.sqrt(n - 1.0)
+    return scaled
+
+
+@dataclass(frozen=True)
+class FactoredSet:
+    """One set as the Frechet route holds it: its mean, Tr S and a factor F with S = F F^T.
+
+    ``lower`` is S's lower Cholesky factor, or None when the set has no
+    more rows than dimensions or Cholesky fails. F is then the set's rows,
+    put through ``to_frame``, centred and divided by sqrt(n - 1), and
+    ``factor()`` rebuilds it from ``rows`` each time, so no float64 copy is
+    held.
+    """
+
+    mean: np.ndarray
+    trace: float
+    lower: np.ndarray | None
+    rows: EmbeddingSet | np.ndarray
+    to_frame: Callable[[EmbeddingSet | np.ndarray], np.ndarray]
+
+    def factor(self) -> np.ndarray:
+        """F, D x D lower triangular or D x n."""
+        if self.lower is not None:
+            return self.lower
+        return _scaled_centred(self.to_frame(self.rows), self.mean).T
+
+
+def factored_set(
+    rows: EmbeddingSet | np.ndarray,
+    to_frame: Callable[[EmbeddingSet | np.ndarray], np.ndarray] = _as_matrix,
+) -> FactoredSet:
+    """The ``FactoredSet`` of ``to_frame(rows)``: mean, Tr S, and S's Cholesky factor when
+    the set has more rows than dimensions and Cholesky succeeds."""
+    x = to_frame(rows)
+    mean = x.mean(axis=0)
+    scaled = _scaled_centred(x, mean)
+    lower = None
+    if x.shape[0] > x.shape[1]:
+        try:
+            lower = np.linalg.cholesky(scaled.T @ scaled)
+        except np.linalg.LinAlgError:  # singular in floating point: keep the centred rows
+            pass
+    return FactoredSet(mean, float(np.vdot(scaled, scaled)), lower, rows, to_frame)
+
+
+def frechet_factored(a: FactoredSet, b: FactoredSet | EmbeddingSet | np.ndarray) -> float:
+    """Frechet distance between a stored set and either another stored set or a set's rows.
+
+    ``b`` as rows must already be in ``a``'s frame; they are centred and
+    divided by sqrt(m - 1), which is their factor's transpose, and
+    projected by a's factor. Either way the trace term comes from
+    G = F_b^T F_a, one product: the square roots of the ``eigvalsh``
+    eigenvalues of its smaller Gram matrix, those below ``EIGENVALUE_CLAMP``
+    taken as zero. The result is clamped to be nonnegative. Swapping two
+    stored sets changes the value only by rounding.
+    """
+    if isinstance(b, FactoredSet):
+        mean_b, trace_b, factor_bt = b.mean, b.trace, b.factor().T
+    else:
+        x = _as_matrix(b)
+        mean_b = x.mean(axis=0)
+        factor_bt = _scaled_centred(x, mean_b)
+        trace_b = float(np.vdot(factor_bt, factor_bt))
+    if mean_b.shape != a.mean.shape:
+        raise ParameterError(f"dimension mismatch: {a.mean.shape[0]} vs {mean_b.shape[0]}")
+    product = factor_bt @ a.factor()
+    gram = product.T @ product if product.shape[1] <= product.shape[0] else product @ product.T
+    values, _ = _clamped_eigh(gram, "covariance product", with_vectors=False)
+    diff = a.mean - mean_b
+    value = float(diff @ diff) + a.trace + trace_b - 2.0 * float(np.sqrt(values).sum())
     return max(0.0, value)
 
 
@@ -621,7 +712,6 @@ def metric_d(
     the real set's when ``intra_d`` calls it.
     """
     to_frame = real_frame(reference, cfg.standardize)
-    ref, cand = to_frame(reference), to_frame(candidate)
     if cfg.kind is MetricKind.DENSITY_COVERAGE:
-        return harmonic_d(*density_coverage(ref, cand, cfg.k))
-    return frechet_distance(gaussian_summary(ref), gaussian_summary(cand))
+        return harmonic_d(*density_coverage(to_frame(reference), to_frame(candidate), cfg.k))
+    return frechet_factored(factored_set(reference, to_frame), to_frame(candidate))

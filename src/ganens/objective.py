@@ -48,9 +48,8 @@ from .metrics import (
     MetricKind,
     _chunks,
     ball_hits,
-    covariance_root,
-    frechet_distance,
-    gaussian_summary,
+    factored_set,
+    frechet_factored,
     harmonic_d,
     knn_radii,
     metric_d,
@@ -296,10 +295,12 @@ def pairwise_matrix(
     from one estimate centred on the real set's mean (any fixed centre keeps
     the error bound; ``metrics`` docstring).
 
-    The Frechet distance is symmetric up to rounding (S_a S_b and S_b S_a
-    have the same spectrum), so a fid entry is the one value
-    ``frechet_distance(summary_i, summary_j)`` for i < j, with subsample i's
-    covariance root computed once per row.
+    A fid entry is ``frechet_factored`` of the two subsamples' ``FactoredSet``s
+    (``metrics`` docstring), one product of their stored factors, for i < j,
+    written to both entries; the Frechet distance is symmetric up to
+    rounding. A subsample with no more rows than dimensions keeps only its
+    mean and trace, and its factor is rebuilt from its rows when a pair
+    needs it.
     """
     n = pool.size
     if sample_per_generator is None:
@@ -322,14 +323,11 @@ def pairwise_matrix(
         ordered = np.divide(2.0 * dns * cvg, total, out=np.zeros_like(total), where=total != 0)
         values = (ordered + ordered.T) / 2.0
     else:
-        # Row by row, so only one covariance root is held at a time; the last
-        # row has no later column and needs none.
-        summaries = [gaussian_summary(to_frame(s)) for s in subs]
+        factors = [factored_set(s, to_frame) for s in subs]
         values = np.zeros((n, n), dtype=np.float64)
         for i in range(n - 1):
-            root = covariance_root(summaries[i])
             for j in range(i + 1, n):
-                values[i, j] = values[j, i] = frechet_distance(summaries[i], summaries[j], root)
+                values[i, j] = values[j, i] = frechet_factored(factors[i], factors[j])
     return PairwiseMatrix(
         values=values,
         ids=pool.ids,
@@ -365,11 +363,12 @@ class EnsembleEvaluator:
     the generators' rows run through its balls in draw order, many
     generators to one ``ball_hits`` call, to give the prefix counts and
     first-hit ranks the module docstring describes. For the Frechet kind
-    the real set's summary and covariance root are kept, with each
-    generator's draw order, and an evaluation gathers the union's rows from
-    the pool's own arrays, summarizes them and takes the eigenvalues only
-    (no eigenvectors) of one covariance product. The pairwise matrix is
-    built lazily on first use.
+    the real set is kept as a ``FactoredSet`` (its mean, trace and
+    covariance factor), with each generator's draw order, and an evaluation
+    gathers the union's rows from the pool's own arrays and calls
+    ``frechet_factored``, as ``metric_d`` does: it projects the union's
+    centred rows by the real factor once and takes one ``eigvalsh``, with no
+    summary of the union. The pairwise matrix is built lazily on first use.
 
     An evaluation shares one member index array between both objectives
     and takes its quotas on arrays, calling ``capped_plan`` only to word a
@@ -399,8 +398,8 @@ class EnsembleEvaluator:
         self._rows = np.array([dataset.rows for _, dataset in pool.members])
         self._shortest = int(self._rows.min())
         orders = [_draw_order(dataset, self.seed, record.id) for record, dataset in pool.members]
-        real = self._to_frame(pool.real)
         if self.cfg.kind is MetricKind.DENSITY_COVERAGE:
+            real = self._to_frame(pool.real)
             radii = knn_radii(real, self.cfg.k)
             longest = int(self._rows.max())
             # prefix[g, t] is read only for t <= rows of g; a rank fits the
@@ -418,8 +417,7 @@ class EnsembleEvaluator:
                     np.cumsum(counts[end - count : end], out=self._prefix[g, 1 : count + 1])
         else:
             self._orders = orders
-            self._real_summary = gaussian_summary(real)
-            self._real_root = covariance_root(self._real_summary)
+            self._real = factored_set(pool.real, self._to_frame)
 
     @property
     def matrix(self) -> PairwiseMatrix:
@@ -449,12 +447,12 @@ class EnsembleEvaluator:
 
     def _intra(self, members: np.ndarray, takes: np.ndarray) -> float:
         if self.cfg.kind is MetricKind.FRECHET:
+            # Gathered straight into float64, which float32 rows convert to exactly.
             union = np.concatenate([
                 _prefix_rows(self.pool.members[g][1].data, self._orders[g], take)
                 for g, take in zip(members.tolist(), takes.tolist())
-            ])
-            summary = gaussian_summary(self._to_frame(union))
-            return frechet_distance(self._real_summary, summary, self._real_root)
+            ], dtype=np.float64)
+            return frechet_factored(self._real, self._to_frame(union))
         hits = int(self._prefix[members, takes].sum())
         inside = self._first.take(members, axis=0) < takes.astype(self._first.dtype)[:, None]
         covered = int(np.count_nonzero(np.logical_or.reduce(inside, axis=0)))

@@ -7,13 +7,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .errors import ParameterError
-from .metrics import (
-    covariance_root,
-    density_coverage,
-    frechet_distance,
-    gaussian_summary,
-    knn_radii,
-)
+from .metrics import density_coverage, factored_set, frechet_factored, knn_radii
 from .objective import EnsembleGenome, build_union, capped_plan, subsample_rows
 from .store import Pool
 
@@ -97,12 +91,11 @@ def quality_rows(
     """
     drawn = None if union is None else build_union(union, pool, seed)  # checked before scoring
     radii = knn_radii(pool.real, k)
-    real_summary = gaussian_summary(pool.real)
-    real_root = covariance_root(real_summary)
+    real = factored_set(pool.real)
 
     def row(label, candidate) -> QualityRow:
         dns, cvg = density_coverage(pool.real, candidate, k, radii)
-        fid = frechet_distance(real_summary, gaussian_summary(candidate), real_root)
+        fid = frechet_factored(real, candidate)
         return QualityRow(label=label, fid=fid, density=dns, coverage=cvg)
 
     rows = []

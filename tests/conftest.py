@@ -13,6 +13,7 @@ from ganens import (
     load_pool,
     load_profile_spec,
 )
+from ganens.metrics import EIGENVALUE_CLAMP
 
 # Derandomized property tests without a deadline: runs are repeatable, and a
 # slow host cannot fail an example on time alone. Each test sets max_examples.
@@ -35,6 +36,25 @@ def standardized_by_real(pool: Pool, sets: list[np.ndarray]) -> list[np.ndarray]
     mean, scale = real.mean(axis=0), real.std(axis=0)
     scale[scale == 0] = 1.0
     return [(x - mean) / scale for x in sets]
+
+
+def gram_frechet(a: np.ndarray, b: np.ndarray) -> float:
+    """Frechet distance in the Gram form, an oracle that holds no D x D matrix.
+
+    With A and B the centred rows over sqrt(n - 1), the trace term is the sum
+    of the square roots of the eigenvalues of A B^T B A^T, those below the
+    clamp taken as zero. Where a set has no more rows than dimensions, the
+    eigh reference keeps null-space noise, and this form does not.
+    """
+    a, b = (np.asarray(x, dtype=np.float64) for x in (a, b))
+    centred_a = (a - a.mean(axis=0)) / np.sqrt(len(a) - 1.0)
+    centred_b = (b - b.mean(axis=0)) / np.sqrt(len(b) - 1.0)
+    cross = centred_a @ centred_b.T
+    values = np.linalg.eigvalsh(cross @ cross.T)
+    root_trace = np.sqrt(np.where(values < EIGENVALUE_CLAMP, 0.0, values)).sum()
+    diff = a.mean(axis=0) - b.mean(axis=0)
+    traces = (centred_a * centred_a).sum() + (centred_b * centred_b).sum()
+    return max(0.0, float(diff @ diff + traces - 2.0 * root_trace))
 
 
 def four_modes(dim: int = 8, separation: float = 10.0) -> list[ModeSpec]:

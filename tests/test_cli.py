@@ -12,6 +12,7 @@ from ganens import (
     Orientation,
     ParetoFront,
     ShortfallWarning,
+    build_union,
     canonical_fixture_path,
     emit_pool,
     load_pool,
@@ -20,8 +21,9 @@ from ganens import (
     select_best,
 )
 from ganens.cli import main
+from ganens.objective import capped_plan
 
-from conftest import four_modes
+from conftest import four_modes, gram_frechet
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +114,11 @@ class TestPairwise:
 
 
 class TestRankDeficientFrechet:
-    """N=12 rows in D=20: every covariance is singular, as N=1000 < D=2048 makes them in the paper."""
+    """N=12 rows in D=20: every covariance is singular, as N=1000 < D=2048 makes them in the paper.
+
+    Every set keeps centred-rows factors here, and values are checked against
+    the Gram-form oracle: the eigh reference keeps null-space noise.
+    """
 
     @pytest.fixture(scope="class")
     def wide_manifest(self, tmp_path_factory):
@@ -131,6 +137,13 @@ class TestRankDeficientFrechet:
         assert np.array_equal(matrix, matrix.T)
         assert np.array_equal(np.diag(matrix), np.zeros(4))
         assert (matrix[~np.eye(4, dtype=bool)] > 0).all()
+        # Every set has all 12 rows, so each entry compares two whole sets.
+        pool = load_pool(wide_manifest)
+        assert [line.split(",")[0] for line in lines[1:]] == list(pool.ids)
+        for i, (_, a) in enumerate(pool.members):
+            for j, (_, b) in enumerate(pool.members[i + 1 :], start=i + 1):
+                want = gram_frechet(a.data, b.data)
+                assert abs(matrix[i, j] - want) <= 1e-9 * want
 
     def test_exhaustive_optimize_finite(self, wide_manifest, tmp_path):
         code = main(["optimize", "--manifest", str(wide_manifest), "--metric", "fid",
@@ -142,6 +155,13 @@ class TestRankDeficientFrechet:
         assert np.isfinite(rows).all()
         front = json.loads((tmp_path / "front.json").read_text())["front"]
         assert front and all(np.isfinite([e["intra"], e["inter"]]).all() for e in front)
+        # Each front entry's Intra-d scores the union its quotas draw (seed 0).
+        pool = load_pool(wide_manifest)
+        for entry in front:
+            genome = EnsembleGenome.from_ids(entry["ids"], pool, "front.json", "ids")
+            quotas = {pool.ids[i]: take for i, take in capped_plan(genome, pool, pool.real.rows)}
+            want = gram_frechet(pool.real.data, build_union(quotas, pool, 0).data)
+            assert abs(entry["intra"] - want) <= 1e-9 * want
 
 
 class TestOptimize:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pool, standardized_by_real
+from conftest import gram_frechet, make_pool, standardized_by_real
 from ganens import (
     EmbeddingSet,
     GaussianSummary,
@@ -13,7 +15,6 @@ from ganens import (
     Orientation,
     ParameterError,
     ball_hits,
-    covariance_root,
     coverage,
     density,
     density_coverage,
@@ -26,7 +27,15 @@ from ganens import (
     pairwise_matrix,
 )
 import ganens.metrics
-from ganens.metrics import EIGENVALUE_CLAMP, _UNIT_ROUNDOFF, _exact_squared, _listed_inside
+from ganens.metrics import (
+    EIGENVALUE_CLAMP,
+    _UNIT_ROUNDOFF,
+    _exact_squared,
+    _listed_inside,
+    factored_set,
+    frechet_factored,
+    real_frame,
+)
 
 
 def brute_force_density_coverage(ref, cand, k):
@@ -382,12 +391,52 @@ class TestReferenceEquality:
             for entry in ((0, 0), (1, 2), (0, 1), (1, 3)):
                 estimate = sure.copy()
                 estimate[entry] = value
-                rows, cols = _listed_inside(
+                slices = _listed_inside(
                     x, y, 0, estimate, radius, slack, np.empty(estimate.shape, dtype=bool)
                 )
+                rows, cols = (np.concatenate(part) for part in zip(*slices))
                 inside = np.zeros(estimate.shape, dtype=bool)
                 inside[rows, cols] = True
                 assert np.array_equal(inside, exact), (value, entry)
+
+    @settings(max_examples=200)
+    @given(sets=ball_sets(), data=st.data(), k_draw=st.integers(0, 100),
+           listed_slice=st.integers(1, 5), standardize=st.booleans())
+    def test_listed_slices_equal_reference(self, sets, data, k_draw, listed_slice, standardize):
+        # Slices of a few listed entries split a ball's hits, and the hits of one
+        # (ball, set) pair, across slices.
+        x, y = sets
+        k = 1 + k_draw % (x.shape[0] - 1)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(y) - 1), max_size=4)))
+        bounds = [0, *cuts, len(y)]
+        size = min(len(x), len(y))
+        pool = make_pool({"a": x[:size], "b": y[:size], "c": np.vstack([x, y])[-size:]}, x)
+        pool_k = 1 + k_draw % (size - 1)
+        want = [ball_hits(x, y[lo:hi], k) for lo, hi in zip(bounds, bounds[1:])]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ganens.metrics, "_LISTED_SLICE", listed_slice)
+            counts, first = ball_hits(x, y, k, segments=np.diff(bounds))
+            matrix = pairwise_matrix(pool, MetricConfig(k=pool_k, standardize=standardize))
+        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            assert np.array_equal(counts[lo:hi], want[s][0])
+            assert np.array_equal(first[s], want[s][1])
+        assert_entries_equal_reference(matrix, pool, pool_k, standardize)
+
+    def test_listed_slices_bound_the_temporaries(self):
+        # Two copies of one 512-row set with k = N - 1: every ball holds every
+        # row, so each 2^18-entry estimate block lists all its entries. Decided
+        # at once they peaked at 18.7 MB under tracemalloc; in slices of 2^16
+        # the matrix stage stays near 8.5 MB.
+        base = np.random.default_rng(24).standard_normal((512, 2))
+        pool = make_pool({"a": base, "b": base.copy()}, base)
+        tracemalloc.start()
+        try:
+            matrix = pairwise_matrix(pool, MetricConfig(k=511))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        assert matrix.values[0, 1] == harmonic_d(512 / 511, 1.0)
 
     def test_band_recompute_sums_in_reference_order(self):
         # Magnitudes spread over 16 decades make the rounded sum depend on
@@ -498,17 +547,6 @@ class TestFrechet:
         with pytest.raises(ParameterError):
             frechet_distance(a, b)
 
-    def test_precomputed_root_gives_the_same_value(self):
-        rng = np.random.default_rng(12)
-        a = gaussian_summary(rng.standard_normal((40, 5)) * rng.uniform(0.5, 2, 5))
-        root = covariance_root(a)
-        assert np.allclose(root @ root, a.covariance)
-        for seed in range(5):
-            b = gaussian_summary(np.random.default_rng(seed).standard_normal((30, 5)) + seed)
-            assert frechet_distance(a, b, root) == frechet_distance(a, b)
-        with pytest.raises(ParameterError, match="root_a"):
-            frechet_distance(a, b, np.eye(4))
-
     def test_non_finite_covariance_raises_numeric(self):
         a = GaussianSummary(np.zeros(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(NumericError):
@@ -520,19 +558,19 @@ class TestFrechet:
         b = GaussianSummary(np.zeros(3), np.full((3, 3), np.nan))
         with pytest.raises(NumericError, match="covariance product"):
             frechet_distance(a, b)
-        with pytest.raises(NumericError, match="covariance product"):
-            frechet_distance(a, b, covariance_root(a))
 
     def test_failed_eigenvalues_raise_numeric(self, monkeypatch):
-        a = gaussian_summary(np.random.default_rng(15).standard_normal((10, 3)))
-        root = covariance_root(a)
+        x = np.random.default_rng(15).standard_normal((10, 3))
+        a = gaussian_summary(x)
 
         def fail(matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NumericError, match="eigendecomposition failed"):
-            frechet_distance(a, a, root)
+            frechet_distance(a, a)
+        with pytest.raises(NumericError, match="eigendecomposition failed"):
+            frechet_factored(factored_set(x), x)
 
     def test_scaled_covariance_closed_form(self):
         # S_b = c^2 S_a gives Tr (S_a S_b)^(1/2) = c Tr S_a, so the distance is
@@ -578,8 +616,158 @@ class TestFrechet:
         want, product = eigh_route_frechet(a, b)
         if deficient:
             assert np.linalg.eigvalsh(product).min() < EIGENVALUE_CLAMP
-        for got in (frechet_distance(a, b), frechet_distance(a, b, covariance_root(a))):
-            assert abs(got - want) <= 1e-10 * want
+        assert abs(frechet_distance(a, b) - want) <= 1e-10 * want
+
+
+class TestFactoredFrechet:
+    """The covariance-factor route against the eigh reference, closed forms and an oracle."""
+
+    @staticmethod
+    def _rows(rng, n, dim):
+        return rng.standard_normal((n, dim)) * rng.uniform(0.1, 10.0, dim) + rng.normal(0, 3, dim)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_full_rank_equals_eigh_reference(self, data):
+        # n > D, half the draws at n = D + 1, in the raw or the standardized
+        # frame of the first set: stored against stored in both orders, and
+        # stored against rows, within 1e-9 of the reference.
+        dim = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sizes = [dim + (1 if data.draw(st.booleans()) else data.draw(st.integers(2, 15)))
+                 for _ in range(2)]
+        a, b = (self._rows(rng, n, dim) for n in sizes)
+        to_frame = real_frame(a, data.draw(st.booleans()))
+        framed_a, framed_b = to_frame(a), to_frame(b)
+        want = frechet_distance(gaussian_summary(framed_a), gaussian_summary(framed_b))
+        stored_a, stored_b = factored_set(a, to_frame), factored_set(b, to_frame)
+        assert stored_a.lower is not None and stored_b.lower is not None
+        for got in (
+            frechet_factored(stored_a, stored_b),
+            frechet_factored(stored_b, stored_a),
+            frechet_factored(stored_a, framed_b),
+            frechet_factored(stored_b, framed_a),
+        ):
+            assert abs(got - want) <= 1e-9 * want
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_rank_deficient_equals_gram_oracle(self, data):
+        # n <= D: centred-rows factors, rebuilt from the rows through the frame
+        # for every call.
+        dim = data.draw(st.integers(2, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a, b = (self._rows(rng, data.draw(st.integers(2, dim)), dim) for _ in range(2))
+        to_frame = real_frame(a, data.draw(st.booleans()))
+        stored_a, stored_b = factored_set(a, to_frame), factored_set(b, to_frame)
+        assert stored_a.lower is None and stored_a.rows is a
+        want = gram_frechet(to_frame(a), to_frame(b))
+        for got in (
+            frechet_factored(stored_a, stored_b),
+            frechet_factored(stored_b, stored_a),
+            frechet_factored(stored_a, to_frame(b)),
+        ):
+            assert abs(got - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("n, dim", [(40, 6), (7, 6), (4, 12)])
+    def test_scaled_copy_closed_form(self, n, dim):
+        # Rows scaled by c about the mean: S_b = c^2 S_a with equal means, so the
+        # distance is (1 - c)^2 Tr S_a, for Cholesky (n = D + 1 included) and
+        # centred-rows factors.
+        a = self._rows(np.random.default_rng(21), n, dim)
+        mean = a.mean(axis=0)
+        trace = float(np.trace(np.cov(a, rowvar=False)))
+        stored = factored_set(a)
+        assert (stored.lower is None) == (n <= dim)
+        for c in (0.25, 1.0, 3.0):
+            b = mean + c * (a - mean)
+            want = (1.0 - c) ** 2 * trace
+            for got in (frechet_factored(stored, factored_set(b)), frechet_factored(stored, b)):
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12 * trace)
+
+    def test_commuting_diagonal_closed_form(self):
+        # Columns 1..8 of a 16 x 16 Sylvester-Hadamard matrix are centred and
+        # orthogonal, so the covariances are diagonal and commute:
+        # Tr (S_a S_b)^(1/2) = sum sqrt(a_i b_i). Two columns of b are
+        # constant, so with n > D its Cholesky fails and it keeps centred rows.
+        hadamard = np.ones((1, 1))
+        for _ in range(4):
+            hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+        signs = hadamard[:, 1:9]
+        rng = np.random.default_rng(16)
+        sd_a, sd_b = rng.uniform(0.1, 3.0, 8), rng.uniform(0.1, 3.0, 8)
+        sd_b[:2] = 0.0
+        mean_a, mean_b = rng.normal(size=8), rng.normal(size=8)
+        a, b = mean_a + signs * sd_a, mean_b + signs[::-1] * sd_b
+        var_a, var_b = sd_a**2 * 16 / 15, sd_b**2 * 16 / 15
+        want = float((mean_a - mean_b) @ (mean_a - mean_b)) + float(
+            ((np.sqrt(var_a) - np.sqrt(var_b)) ** 2).sum()
+        )
+        stored_a, stored_b = factored_set(a), factored_set(b)
+        assert stored_a.lower is not None and stored_b.lower is None
+        for got in (
+            frechet_factored(stored_a, stored_b),
+            frechet_factored(stored_b, stored_a),
+            frechet_factored(stored_a, b),
+            frechet_factored(stored_b, a),
+        ):
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_constant_column_falls_back_to_centred_rows(self):
+        rng = np.random.default_rng(17)
+        a, b = self._rows(rng, 30, 5), self._rows(rng, 25, 5)
+        a[:, 2] = 4.0
+        stored = factored_set(a)
+        assert stored.lower is None
+        want = gram_frechet(a, b)
+        assert abs(frechet_factored(stored, factored_set(b)) - want) <= 1e-9 * want
+        assert abs(frechet_factored(stored, b) - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("copies, dim", [(8, 5), (4, 5)])
+    def test_duplicated_rows(self, copies, dim):
+        # Each row repeated: 8 distinct rows in 5 dimensions keep full rank;
+        # 4 distinct rows give n = 8 > D with rank 3.
+        rng = np.random.default_rng(18)
+        a = np.vstack([self._rows(rng, copies, dim)] * 2)
+        b = self._rows(rng, 20, dim)
+        want = gram_frechet(a, b)
+        if copies > dim:
+            assert want == pytest.approx(
+                frechet_distance(gaussian_summary(a), gaussian_summary(b)), rel=1e-9
+            )
+        for got in (frechet_factored(factored_set(a), factored_set(b)),
+                    frechet_factored(factored_set(b), a)):
+            assert abs(got - want) <= 1e-9 * want
+
+    def test_one_dimension(self):
+        rng = np.random.default_rng(19)
+        a, b = rng.normal(2.0, 3.0, (20, 1)), rng.normal(-1.0, 0.5, (15, 1))
+        sd_a, sd_b = a.std(ddof=1), b.std(ddof=1)
+        want = (a.mean() - b.mean()) ** 2 + (sd_a - sd_b) ** 2
+        assert frechet_factored(factored_set(a), factored_set(b)) == pytest.approx(want, rel=1e-12)
+        assert frechet_factored(factored_set(a), b) == pytest.approx(want, rel=1e-12)
+
+    def test_two_row_union(self):
+        rng = np.random.default_rng(20)
+        a, union = self._rows(rng, 30, 4), self._rows(rng, 2, 4)
+        want = gram_frechet(a, union)
+        assert abs(frechet_factored(factored_set(a), union) - want) <= 1e-9 * want
+        with pytest.raises(ParameterError, match="at least 2 rows"):
+            frechet_factored(factored_set(a), union[:1])
+        with pytest.raises(ParameterError, match="at least 2 rows"):
+            factored_set(union[:1])
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(22)
+        with pytest.raises(ParameterError, match="dimension mismatch"):
+            frechet_factored(factored_set(rng.normal(size=(10, 3))), rng.normal(size=(10, 4)))
+
+    def test_non_finite_product_raises_numeric(self):
+        a = np.random.default_rng(23).standard_normal((10, 3))
+        b = a.copy()
+        b[0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="covariance product"):
+            frechet_factored(factored_set(a), b)
 
 
 class TestMetricD:

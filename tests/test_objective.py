@@ -14,8 +14,6 @@ from ganens import (
     ShortfallWarning,
     build_union,
     density_coverage,
-    frechet_distance,
-    gaussian_summary,
     harmonic_d,
     inter_d,
     intra_d,
@@ -25,6 +23,7 @@ from ganens import (
     subsample_rows,
 )
 import ganens.metrics
+from ganens.metrics import factored_set, frechet_factored
 from ganens.objective import PairwiseMatrix, capped_plan
 from ganens.optimize import selection_manifest
 
@@ -206,7 +205,7 @@ class TestOneSampler:
                     forward = harmonic_d(*density_coverage(a, b, 3))
                     want = (forward + harmonic_d(*density_coverage(b, a, 3))) / 2.0
                 else:
-                    want = frechet_distance(gaussian_summary(a), gaussian_summary(b))
+                    want = frechet_factored(factored_set(a), factored_set(b))
                 assert matrix.values[i, j] == matrix.values[j, i] == want
 
 
@@ -256,7 +255,7 @@ class TestPairwiseMatrix:
 
     def test_frechet_entries_take_one_order(self):
         # Four sets with unequal scales and shifts: the two argument orders of
-        # frechet_distance differ in their last bits on most pairs, so the
+        # frechet_factored differ in their last bits on most pairs, so the
         # entries show which order was taken.
         rng = np.random.default_rng(7)
         sets = {
@@ -269,14 +268,14 @@ class TestPairwiseMatrix:
             sets = [es.data.astype(np.float64) for _, es in pool.members]
             if standardize:
                 sets = standardized_by_real(pool, sets)
-            summaries = [gaussian_summary(x) for x in sets]
+            factors = [factored_set(x) for x in sets]
             swapped = 0
             for i in range(pool.size):
                 assert matrix.values[i, i] == 0.0
                 for j in range(i + 1, pool.size):
-                    want = frechet_distance(summaries[i], summaries[j])
+                    want = frechet_factored(factors[i], factors[j])
                     assert matrix.values[i, j] == matrix.values[j, i] == want
-                    swapped += want != frechet_distance(summaries[j], summaries[i])
+                    swapped += want != frechet_factored(factors[j], factors[i])
             assert swapped > 0
 
     def test_sample_sizes_recorded(self):

@@ -341,8 +341,8 @@ def search_digest(entries):
 
 # Digests of the archive and the front, bit for bit, as the pairwise
 # dominance loops produced them; any change to search output changes them.
-# The fid rows pin Frechet values to the last bit, as the eigenvalues-only
-# trace term gives them; another LAPACK build may round them differently.
+# The fid rows pin Frechet values to the last bit, as the covariance-factor
+# route gives them; another BLAS or LAPACK build may round them differently.
 GOLDEN = [
     (6, "dnc", dict(algorithm="nsga2", budget=40, population=10, seed=9),
      "e2725c8f8987ba3417fe5b02574c484144350bb43dd50eb1ab4554786a26444a",
@@ -364,11 +364,11 @@ GOLDEN = [
      "89bf2358f1c77b585cabfc2fb202debfd29fd540c0bf7340d313e6fa6ca02537",
      "883e3b554709a5a1250c7024aedcc4c0bdf9411c26e8fdfa66d374488c39d7c5"),
     (6, "fid", dict(algorithm="nsga2", budget=40, population=10, seed=9),
-     "6612cd2b655c2e043a69898b0c5ded4fa1dee0e452885a0d4a6358c932ee7e99",
-     "b17505950ef0e03e97107b952156844933f3ae7d943e12c249c47cd4e20da9e9"),
+     "b8b2842c666980e4724ef098ec5b8875ce80e1d7c483059e179c478832f60af1",
+     "4c9c3f19b3c34ba2549824354ce82a2d2bbde7da6e2beedc54dc9ddf73df49a6"),
     (6, "fid", dict(algorithm="exhaustive", seed=0),
-     "cdd7d095d46f6c111a72974618bf56a9fa47b7387b6673b92b0a5c632258f82e",
-     "cae1c58be4d8fc79ec16a286493dbc52a39815f9e5d035f26e0dab9a1c46bf39"),
+     "cf060c4b3bd23323fa9cdd3102dd662eb76cea4dcd9de8d26d2d9b96c4228f8a",
+     "f8d6b9e9accadaaf4606c85eea1254d879f405cf9a6a4135065a5d3d5b0073df"),
 ]
 
 
