@@ -1,7 +1,12 @@
 """Command-line entry point: toy, pairwise, optimize, select, quality, gap.
 
-Every command is deterministic under fixed flags and seed, and every output
-file carries its provenance (flags, seeds, metric config, tool version).
+Under fixed flags and seed a rerun writes the same bytes. dnc outputs are
+byte-identical whatever the BLAS thread count: the distance estimate's
+summation order varies with it, but the decisions, which are exact, do not.
+fid values can move in their last digits between thread counts (at most
+9.1e-13 relative on a P=20, D=200 pool, whose front kept its members).
+Every output file carries its provenance (flags, seeds, metric config, tool
+version).
 Exit codes: 0 success, 1 usage, 2 data/validation, 3 numeric failure.
 """
 from __future__ import annotations

@@ -26,63 +26,87 @@ duplicate points. Every ball decision and every k-NN radius equals the one
 ``pairwise_distances`` gives: direct differencing in float64, summed over
 dimensions in order ``0 + (x0-y0)^2 + (x1-y1)^2 + ...``, then ``sqrt``.
 
-The decisions are taken on a faster estimate with a proven error bound.
-With c a fixed centre (the mean of the reference rows, or as below),
-a = fl(x - c) and b = fl(y - c), one matrix product (BLAS GEMM) of the rows
-``[a, |a|^2, 1]`` and ``[-2b, 1, |b|^2]`` gives ``s^ = |a|^2 + |b|^2 - 2 a.b``
-for a block of rows at once. Let u = 2^-53 be the unit roundoff, D the dimension and
+The decisions are taken on a faster float32 estimate with a proven error
+bound. With c a fixed centre (the mean of the reference rows, or as below)
+and sigma = 2^e one power of two per call, a = sigma fl(x - c) and
+b = sigma fl(y - c) are float64, and so are |a|^2 and |b|^2; the rows
+``[a, |a|^2, 1]`` and ``[-2b, 1, |b|^2]`` are then rounded to float32, and
+one float32 matrix product (BLAS GEMM) gives ``s^ = |a|^2 + |b|^2 - 2 a.b``
+for a block of rows at once, an estimate of sigma^2 s with s the
+reference's squared distance. sigma puts the largest squared row norm of
+the call below 2^100, so no product, sum or threshold overflows float32,
+and e <= 474, so float64's subnormal spacing 2^-1074 scales to at most
+2^-126. Let u = 2^-24 be float32's unit roundoff, v = 2^-53 float64's,
+lambda = 2^-126 float32's smallest normal, D the dimension and
 gamma_n = n u / (1 - n u). A dot product of length n summed in any order,
 fused or not, errs by at most gamma_n times the sum of its terms' absolute
-values (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1).
-With |a_i b_i| summing to at most (|a|^2 + |b|^2) / 2, to first order:
+values (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1),
+plus lambda for each operation whose result underflows, whether the BLAS
+keeps subnormals or flushes them to zero. With |a_i b_i| summing to at most
+(|a|^2 + |b|^2) / 2, and 2 |a_i| <= 1 + a_i^2, to first order:
 
-- the product, of length D + 2, errs by 2 (D + 2) u (|a|^2 + |b|^2), and
-  the two computed norms inside it by D u (|a|^2 + |b|^2);
-- centring moves each a_i - b_i off x_i - y_i by at most u (|a_i| + |b_i|),
-  which moves the squared distance by at most 4 u (|a|^2 + |b|^2);
+- the float32 product, of length D + 2, errs by 2 (D + 2) u (|a|^2 + |b|^2)
+  plus (2 D + 1) lambda;
+- rounding a and b to float32 (to a subnormal, or to 0 under a flush)
+  moves a_i to within u |a_i| + lambda, so 2 a.b by 2 u (|a|^2 + |b|^2)
+  plus lambda (2 D + |a|^2 + |b|^2); rounding |a|^2 and |b|^2, each within
+  D v of its true value, to float32 moves the sum by (u + D v)
+  (|a|^2 + |b|^2) plus 2 lambda;
+- centring moves each a_i - b_i off sigma (x_i - y_i) by at most
+  v (|a_i| + |b_i|), which moves the squared distance by 4 v (|a|^2 + |b|^2);
 - the reference sum of D rounded squares of rounded differences lies
-  within gamma_(D+2) of the true squared distance, itself at most
-  2 (|a|^2 + |b|^2): another 2 (D + 2) u (|a|^2 + |b|^2).
+  within gamma_(D+2) (in v) of the true squared distance, itself at most
+  2 (|a|^2 + |b|^2) in sigma^2 units: another 2 (D + 2) v (|a|^2 + |b|^2);
+- float64 squares that underflow, D in each norm and D in the reference,
+  err by at most 2^-1075 sigma^2 <= lambda / 2 each (sums and differences
+  that underflow are exact).
 
-So ``|s^ - s| <= (5 D + 12) u (|a|^2 + |b|^2)`` against the reference's
-squared distance s, plus at most 2^-1075 for each of the 4 D products
-that may fall below the normal range. The kernel uses more than twice
-both terms, ``ERR = (10 D + 32) (u (|a|^2 + |b|^2) + 2^-1074)``; the margin
-covers the first-order approximation and the rounding of ERR itself. It
-splits ERR into a part per reference row and a part per candidate row,
-and bounds row i by its own part plus the largest candidate part, so no
-N x M array of bounds is built.
+That is ``(2D + 7) u + (3D + 8) v + lambda <= (2D + 8) u`` times
+(|a|^2 + |b|^2) for D < 2^27, plus (6 D + 3) lambda. The kernel uses one
+and a half times both terms, ``ERR = (3 D + 12) (u (|a|^2 + |b|^2) + 4 lambda)``;
+for D < 2^20 the margin covers the first-order approximation and the
+rounding of ERR itself. It splits ERR into a part per reference row and a
+part per candidate row, and bounds row i by its own part plus the largest
+candidate part, so no N x M array of bounds is built.
 
-- A ball test ``d <= r`` uses the guard band ``band = ERR + 8 u r^2``:
-  the entry is inside when ``s^ < r^2 - band`` and outside when
-  ``s^ > r^2 + band``. The ``8 u r^2`` term covers the rounding of ``r^2``
-  and of ``sqrt``, so a squared distance that far from ``r^2`` cannot
-  round to the other side of r. One comparison over a block lists the
-  entries not above ``r^2 + band``, NaN included (a few percent on the
-  pools measured); of those, the ones not below ``r^2 - band`` are
-  recomputed exactly (``_listed_inside``).
+- A ball test ``d <= r`` uses the guard band ``band = ERR + 8 u (sigma r)^2``:
+  the entry is inside when ``s^ < (sigma r)^2 - band`` and outside when
+  ``s^ > (sigma r)^2 + band``, the two thresholds computed in float64 and
+  rounded outward to float32, so each comparison is a float32 one and no
+  float64 copy of a block is made. The ``8 u (sigma r)^2`` term covers the
+  rounding of ``r^2`` and of ``sqrt``, so a squared distance that far from
+  ``r^2`` cannot round to the other side of r. One comparison over a block
+  lists the entries not above the upper threshold, NaN included; of those,
+  the ones not below the lower threshold are recomputed exactly
+  (``_listed_inside``).
 - A k-NN radius is the k-th smallest exact squared distance in its row,
   then ``sqrt`` (which keeps order). With H the k-th smallest estimate in
-  the row, that value is at most H + ERR, so only entries whose estimate
-  is at most H + 2 ERR can be among the k smallest; those are recomputed
-  exactly and the k-th of them is taken. Each set has its own centre, and
-  ``knn_radii`` takes a stack of equal-size sets in one product per block.
+  the row and ERR bounding every entry of the row, the k-th exact value
+  lies in [H - ERR, H + ERR]: an entry whose estimate is below H - 2 ERR is
+  below it, and one above H + 2 ERR is above it. So only the entries in
+  [H - 2 ERR, H + 2 ERR] (thresholds rounded outward) are recomputed, and
+  with ``below`` the count of entries under that band, the radius is the
+  (k - below)-th smallest of their exact values (``_kth_exact``). Each set
+  has its own centre, and ``knn_radii`` takes a stack of equal-size sets
+  in one product per block.
 
-The bound assumes that no squared norm overflows, which float32 data (as
-``EmbeddingSet`` stores it) cannot reach. A NaN estimate or bound always
-falls in the band and is recomputed.
+The bound assumes that no float64 squared norm overflows, which float32
+data (as ``EmbeddingSet`` stores it) cannot reach. A NaN estimate or bound
+always falls in the band and is recomputed.
 
 ``_ball_kernel`` takes every ball decision: the hits of x's balls on
 consecutive sets of y rows (``ball_hits``) and, from the same estimate, the
-x rows in each of y's balls. Both are centred on the caller's centre, which
-keeps the bound (c enters it only through the rounding of x - c and y - c).
-It writes each block through ``out=`` into the caller's buffers: a fresh
-2 MiB result per block lies above glibc's mmap threshold (128 KiB), so its
-pages would fault in anew. ``pairwise_density_coverage`` centres every set
-on the real set's mean in the frame and stacks consecutive whole sets in
-chunks of at most ``_CHUNK_ENTRIES`` entries (rows times D + 2; a larger set
-is a chunk by itself), each built into rows once. Each earlier set takes one
-kernel call per chunk; per-set sums of its outputs give both orders.
+x rows in each of y's balls. Both are centred on the caller's centre and
+scaled by the caller's sigma, which keeps the bound (c enters it only
+through the rounding of x - c and y - c). It writes each block through
+``out=`` into the caller's float32 buffers: a fresh 1 MiB result per block
+lies above glibc's mmap threshold (128 KiB), so its pages would fault in
+anew. ``pairwise_density_coverage`` centres every set on the real set's
+mean in the frame, takes sigma from the largest norm of the whole pool, and
+stacks consecutive whole sets in chunks of at most ``_CHUNK_ENTRIES``
+entries (rows times D + 2; a larger set is a chunk by itself), each built
+into rows once. Each earlier set takes one kernel call per chunk; per-set
+sums of its outputs give both orders.
 """
 from __future__ import annotations
 
@@ -99,14 +123,18 @@ from .util import readonly
 EIGENVALUE_CLAMP = 1e-10
 DEFAULT_K = 5
 
-_UNIT_ROUNDOFF = 2.0**-53
-_SMALLEST_SUBNORMAL = 2.0**-1074
-# ERR = (_ERR_PER_DIM * D + _ERR_BASE) * (u * (|a|^2 + |b|^2) + 2^-1074)
-_ERR_PER_DIM = 10.0
-_ERR_BASE = 32.0
+_UNIT_ROUNDOFF = 2.0**-24  # float32's, for the estimate
+_SMALLEST_NORMAL = 2.0**-126  # float32's
+# ERR = (_ERR_PER_DIM * D + _ERR_BASE) * (u * (|a|^2 + |b|^2) + 4 * 2^-126), in sigma^2 units
+_ERR_PER_DIM = 3.0
+_ERR_BASE = 12.0
+# sigma = 2^e puts the largest squared row norm below 2^_TOP_EXPONENT, with
+# e at most _MAX_SCALE_EXPONENT (module docstring).
+_TOP_EXPONENT = 100
+_MAX_SCALE_EXPONENT = 474
 # Entries per block of the estimated distance matrix, whatever N is. knn_radii
 # and ball_hits take a quarter block, whose copies and masks stay in a core's
-# 2 MiB L2 cache; the pairwise matrix fills one full-size buffer in place.
+# 2 MiB L2 cache; the pairwise matrix fills one full-size float32 buffer in place.
 _BLOCK_ENTRIES = 1 << 18
 # Right-hand entries per chunk of candidate sets stacked for one reference.
 _CHUNK_ENTRIES = _BLOCK_ENTRIES // 4
@@ -218,56 +246,83 @@ def _exact_squared(x: np.ndarray, y: np.ndarray, rows: np.ndarray, cols: np.ndar
     return out
 
 
-def _left_rows(x: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``[a, |a|^2, 1]`` with a = x - centre, and each row's part of the error bound.
+def _centred(x: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, |a|^2)``: a = x - centre in float64, and each row's squared norm.
 
     ``x`` is one set (N, D) or a stack of sets (S, N, D), each with its own centre.
     """
-    dim = x.shape[-1]
-    left = np.empty(x.shape[:-1] + (dim + 2,), dtype=np.float64)
-    np.subtract(x, centre, out=left[..., :dim])
-    left[..., dim] = np.einsum("...j,...j->...", left[..., :dim], left[..., :dim])
+    a = np.subtract(x, centre)
+    return a, np.einsum("...j,...j->...", a, a)
+
+
+def _scale(peak: float) -> float:
+    """sigma = 2^e for rows whose largest squared norm is ``peak``: it puts that norm
+    below 2^_TOP_EXPONENT, with e at most _MAX_SCALE_EXPONENT (module docstring)."""
+    exponent = int(np.frexp(peak)[1])
+    return 2.0 ** min(_MAX_SCALE_EXPONENT, (_TOP_EXPONENT - exponent) // 2)
+
+
+def _left_rows(
+    centred: tuple[np.ndarray, np.ndarray], scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """float32 rows ``[sigma a, sigma^2 |a|^2, 1]`` of ``_centred``'s ``(a, |a|^2)``, sigma
+    being ``scale``, and each row's part of the error bound, in sigma^2 units."""
+    a, norms = centred
+    dim = a.shape[-1]
+    left = np.empty(a.shape[:-1] + (dim + 2,), dtype=np.float32)
+    np.multiply(a, scale, out=left[..., :dim])
+    norms = norms * (scale * scale)
+    left[..., dim] = norms
     left[..., dim + 1] = 1.0
     coef = _ERR_PER_DIM * dim + _ERR_BASE
-    return left, left[..., dim] * (coef * _UNIT_ROUNDOFF) + coef * _SMALLEST_SUBNORMAL
+    return left, norms * (coef * _UNIT_ROUNDOFF) + coef * 4.0 * _SMALLEST_NORMAL
 
 
-def _right_rows(y: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``[-2b, 1, |b|^2]`` with b = y - centre, and each row's part of the error bound.
-
-    ``y`` is one set (M, D) or a stack of sets (S, M, D), each with its own centre.
-    """
-    dim = y.shape[-1]
-    right = np.empty(y.shape[:-1] + (dim + 2,), dtype=np.float64)
-    np.subtract(y, centre, out=right[..., :dim])
-    right[..., dim + 1] = np.einsum("...j,...j->...", right[..., :dim], right[..., :dim])
-    right[..., :dim] *= -2.0
+def _right_rows(
+    centred: tuple[np.ndarray, np.ndarray], scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """float32 rows ``[-2 sigma b, 1, sigma^2 |b|^2]`` of ``_centred``'s ``(b, |b|^2)``, sigma
+    being ``scale``, and each row's part of the error bound, in sigma^2 units."""
+    b, norms = centred
+    dim = b.shape[-1]
+    right = np.empty(b.shape[:-1] + (dim + 2,), dtype=np.float32)
+    np.multiply(b, -2.0 * scale, out=right[..., :dim])
+    norms = norms * (scale * scale)
     right[..., dim] = 1.0
+    right[..., dim + 1] = norms
     coef = _ERR_PER_DIM * dim + _ERR_BASE
-    return right, right[..., dim + 1] * (coef * _UNIT_ROUNDOFF)
+    return right, norms * (coef * _UNIT_ROUNDOFF)
+
+
+def _outward(value: np.ndarray, down: bool) -> np.ndarray:
+    """float64 ``value`` rounded to float32 toward -inf (``down``) or +inf; NaN stays NaN."""
+    rounded = value.astype(np.float32)
+    off = rounded > value if down else rounded < value
+    return np.where(off, np.nextafter(rounded, np.float32(-np.inf if down else np.inf)), rounded)
 
 
 def _listed_inside(
     x: np.ndarray, y: np.ndarray, start: int, estimate: np.ndarray,
-    radius: np.ndarray, slack: np.ndarray, listed: np.ndarray,
+    radius: np.ndarray, slack: np.ndarray, scale: float, listed: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Indices ``(rows, cols)`` of the entries of one block of rows from ``start`` with
     ``d(x_i, y_j) <= radius``, decided exactly, in row-major order, yielded in
     slices of at most ``_LISTED_SLICE`` listed entries.
 
+    ``estimate`` is the float32 block in sigma^2 units, sigma being ``scale``.
     ``radius`` is a column (one per x row) or a row (one per y row), and
     ``slack`` bounds the estimate's error along that axis for every entry.
-    One comparison into the mask ``listed`` lists the entries not above
-    ``r^2 + band``, NaN included; of those, an estimate below ``r^2 - band``
-    is inside, and the rest, in the guard band or NaN, are recomputed. The
-    slices bound the temporaries of a block whose every entry is listed;
-    only the listed indices outlive a slice.
+    One comparison into the mask ``listed`` lists the entries not above the
+    upper threshold, NaN included; of those, an estimate below the lower
+    threshold is inside, and the rest, in the guard band or NaN, are
+    recomputed. The slices bound the temporaries of a block whose every
+    entry is listed; only the listed indices outlive a slice.
     """
-    squared = radius * radius
+    squared = (radius * scale) ** 2
     band = slack + (8.0 * _UNIT_ROUNDOFF) * squared
-    np.greater(estimate, squared + band, out=listed)
+    np.greater(estimate, _outward(squared + band, down=False), out=listed)
     every = np.flatnonzero(np.logical_not(listed, out=listed))
-    lower = squared - band
+    lower = _outward(squared - band, down=True)
     for lo in range(0, every.size, _LISTED_SLICE):
         yield _decided(x, y, start, estimate, every[lo : lo + _LISTED_SLICE], radius, lower)
 
@@ -277,7 +332,7 @@ def _decided(
     radius: np.ndarray, lower: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_listed_inside``'s ``(rows, cols)`` among the listed entries ``flat`` of the block:
-    inside when the estimate is below ``lower`` (r^2 - band), else recomputed."""
+    inside when the estimate is below ``lower`` (the lower threshold), else recomputed."""
     rows = flat // estimate.shape[1]
     cols = flat - rows * estimate.shape[1]
     ball = rows if radius.ndim == 2 else cols
@@ -290,17 +345,19 @@ def _decided(
 
 
 def _ball_kernel(
-    x: np.ndarray, y: np.ndarray, centre: np.ndarray, y_rows: tuple[np.ndarray, np.ndarray],
-    radius: np.ndarray, lengths: np.ndarray, buffer: np.ndarray, mask: np.ndarray,
-    radius_y: np.ndarray | None = None,
+    x: np.ndarray, y: np.ndarray, x_rows: tuple[np.ndarray, np.ndarray],
+    y_rows: tuple[np.ndarray, np.ndarray], scale: float, radius: np.ndarray,
+    lengths: np.ndarray, buffer: np.ndarray, mask: np.ndarray, radius_y: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``ball_hits``' ``(counts, first)`` for x's balls of ``radius`` on the consecutive
     sets of ``lengths`` rows in y, and ``back[j]``, the number of x rows inside y's
-    ball j of ``radius_y`` (None without it). ``y_rows`` is ``_right_rows(y, centre)``,
-    which a caller builds once for every x it meets. Each block of x rows, as many as
-    ``buffer`` and ``mask`` hold (at least one), is estimated and listed into them.
+    ball j of ``radius_y`` (None without it). ``x_rows`` and ``y_rows`` are
+    ``_left_rows`` of x and ``_right_rows`` of y on one centre and sigma ``scale``;
+    a caller builds y's once for every x it meets. Each block of x rows, as many as
+    the float32 ``buffer`` and ``mask`` hold (at least one), is estimated and listed
+    into them.
     """
-    left, slack_x = _left_rows(x, centre)
+    left, slack_x = x_rows
     right, slack_y = y_rows
     m = y.shape[0]
     offsets = np.cumsum(lengths) - lengths
@@ -314,14 +371,15 @@ def _ball_kernel(
     for start in range(0, x.shape[0], step):
         block = slice(start, start + step)
         out = buffer[: len(left[block]) * m].reshape(-1, m)
-        estimate = np.matmul(left[block], right.T, out=out)
+        with np.errstate(invalid="ignore"):  # a NaN entry falls in the band
+            estimate = np.matmul(left[block], right.T, out=out)
         listed = mask[: estimate.size].reshape(estimate.shape)
         # Hits come row by row with rising columns, so a (ball, set) key never
         # falls, and its first occurrence is the set's first row in that ball;
         # a slice's first key may continue the previous slice's last.
         last = -1
         for rows, cols in _listed_inside(
-            x, y, start, estimate, radius[block, None], slack_i[block, None], listed
+            x, y, start, estimate, radius[block, None], slack_i[block, None], scale, listed
         ):
             counts += np.bincount(cols, minlength=m)
             if not cols.size:
@@ -332,9 +390,41 @@ def _ball_kernel(
             sets = owner[cols[head]]
             first[sets, start + rows[head]] = cols[head] - offsets[sets]
         if back is not None:
-            for _, cols in _listed_inside(x, y, start, estimate, radius_y, slack_j, listed):
+            for _, cols in _listed_inside(x, y, start, estimate, radius_y, slack_j, scale, listed):
                 back += np.bincount(cols, minlength=m)
     return counts, first, back
+
+
+def _kth_exact(
+    points: np.ndarray, estimate: np.ndarray, slack: np.ndarray, k: int, first: int, start: int
+) -> np.ndarray:
+    """The k-th smallest exact squared distance of each row of one ``knn_radii`` block,
+    the row's own point excluded.
+
+    ``estimate`` is (count, height, n) in sigma^2 units: row r of set s
+    holds point ``first + s * n + start + r`` of ``points`` against the n
+    points from ``first + s * n``, and ``slack`` (count, height) bounds the
+    error of every entry of its row. Only the entries in the band around
+    the row's k-th smallest estimate are recomputed (module docstring).
+    """
+    count, height, n = estimate.shape
+    own = np.arange(height)
+    estimate[:, own, own + start] = np.inf
+    kth = np.partition(estimate, k - 1, axis=2)[..., k - 1]
+    under = estimate < _outward(kth - 2.0 * slack, down=True)[..., None]
+    below = np.count_nonzero(under, axis=2).ravel()
+    # Listed: in the band, NaN included. Row r of the block is row r % height
+    # of set r // height.
+    listed = np.greater(estimate, _outward(kth + 2.0 * slack, down=False)[..., None])
+    listed |= under
+    block_row, cols = np.divmod(np.flatnonzero(np.logical_not(listed, out=listed)), n)
+    first_row = first + block_row // height * n
+    exact = _exact_squared(points, points, first_row + start + block_row % height, first_row + cols)
+    # A point is not its own neighbour, as in the all-pairs reference.
+    exact[start + block_row % height == cols] = np.inf
+    exact = exact[np.lexsort((exact, block_row))]
+    picked = exact[np.searchsorted(block_row, np.arange(count * height)) + k - 1 - below]
+    return picked.reshape(count, height)
 
 
 def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
@@ -349,7 +439,7 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
     estimate block while it holds at most a quarter of ``_BLOCK_ENTRIES``
     entries, and a set larger than that takes several blocks of rows, so
     the temporaries stay within a core's L2 cache; the stack itself is the
-    caller's to bound.
+    caller's to bound. One sigma serves the whole stack.
     """
     ref = _as_matrix(reference)
     stack = ref if ref.ndim == 3 else ref[None]
@@ -357,12 +447,12 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
     if k < 1 or k >= n:
         raise ParameterError(f"k must satisfy 1 <= k < N, got k={k} with N={n}")
     points = stack.reshape(sets * n, dim)
-    centre = stack.mean(axis=1, keepdims=True)
-    left, slack_rows = _left_rows(stack, centre)
-    right, slack_cols = _right_rows(stack, centre)
-    # Within row i every entry errs by at most slack_i, so the k-th smallest
-    # exact value is at most kth_estimate + slack_i, and only entries whose
-    # estimate is within 2 * slack_i of kth_estimate can reach it.
+    centred = _centred(stack, stack.mean(axis=1, keepdims=True))
+    scale = _scale(centred[1].max(initial=0.0))
+    left, slack_rows = _left_rows(centred, scale)
+    right, slack_cols = _right_rows(centred, scale)
+    del centred
+    # Within row i every entry errs by at most slack_i.
     slack = slack_rows + slack_cols.max(axis=1, keepdims=True)
     kth = np.empty((sets, n), dtype=np.float64)
     entries = max(1, _BLOCK_ENTRIES // 4)
@@ -372,25 +462,13 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
         block_sets = slice(lo, lo + group)
         for start in range(0, n, step):
             block_rows = slice(start, start + step)
-            estimate = np.matmul(left[block_sets, block_rows], right[block_sets].transpose(0, 2, 1))
-            count, height = estimate.shape[:2]
-            own = np.arange(height)
-            estimate[:, own, own + start] = np.inf
-            cutoff = np.partition(estimate, k - 1, axis=2)[..., k - 1]
-            cutoff += 2.0 * slack[block_sets, block_rows]
-            # Listed: not above the cutoff, NaN included. Row r of the block is
-            # row r % height of set lo + r // height.
-            listed = np.logical_not(estimate > cutoff[..., None])
-            block_row, cols = np.divmod(np.flatnonzero(listed), n)
-            first_row = (lo + block_row // height) * n
-            exact = _exact_squared(
-                points, points, first_row + start + block_row % height, first_row + cols
+            with np.errstate(invalid="ignore"):  # a NaN entry falls in the band
+                estimate = np.matmul(
+                    left[block_sets, block_rows], right[block_sets].transpose(0, 2, 1)
+                )
+            kth[block_sets, block_rows] = _kth_exact(
+                points, estimate, slack[block_sets, block_rows], k, lo * n, start
             )
-            # A point is not its own neighbour, as in the all-pairs reference.
-            exact[start + block_row % height == cols] = np.inf
-            exact = exact[np.lexsort((exact, block_row))]
-            picked = exact[np.searchsorted(block_row, np.arange(count * height)) + k - 1]
-            kth[block_sets, block_rows] = picked.reshape(count, height)
     radii = np.sqrt(kth)
     return RadiusProfile(k=k, radii=radii if ref.ndim == 3 else radii[0])
 
@@ -438,11 +516,13 @@ def pairwise_density_coverage(
     """Matrices whose entry (i, j) is ``density_coverage(x_i, x_j, k)``, and 0 where i = j.
 
     x_i is ``to_frame(sets[i])`` (``real_frame`` gives the map); every
-    estimate row is centred on ``centre`` (module docstring).
+    estimate row is centred on ``centre`` and scaled by one sigma, taken
+    from the largest squared norm about ``centre`` in the whole pool
+    (module docstring).
     """
     parts = [s.data if isinstance(s, EmbeddingSet) else np.asarray(s) for s in sets]
     n, rows, width = len(parts), np.array([part.shape[0] for part in parts]), parts[0].shape[1] + 2
-    radii = []
+    radii, peak = [], 0.0
     while len(radii) < n:
         # A run of equal-size sets goes to knn_radii as stacks of at most one of
         # its blocks, which also bounds the stack's framed copy.
@@ -451,21 +531,28 @@ def pairwise_density_coverage(
         hi = lo + 1
         while hi < min(n, cap) and rows[hi] == rows[lo]:
             hi += 1
-        radii.extend(knn_radii(to_frame(np.stack(parts[lo:hi])), k).radii)
+        framed = to_frame(np.stack(parts[lo:hi]))
+        radii.extend(knn_radii(framed, k).radii)
+        peak = max(peak, float(_centred(framed, centre)[1].max()))
+    scale = _scale(peak)
     hits, covered = np.zeros((2, n, n), dtype=np.int64)
     chunks = list(_chunks(rows.tolist(), width))
     size = max(_BLOCK_ENTRIES, *(rows[lo:hi].sum() for lo, hi in chunks))
-    buffer, mask = np.empty(size), np.empty(size, dtype=bool)  # one of each per matrix
+    # One of each per matrix.
+    buffer, mask = np.empty(size, dtype=np.float32), np.empty(size, dtype=bool)
     for lo, hi in chunks:
         y = to_frame(np.concatenate(parts[lo:hi]) if hi - lo > 1 else parts[lo])
-        (right, slack_y), radius_y = _right_rows(y, centre), np.concatenate(radii[lo:hi])
+        right, slack_y = _right_rows(_centred(y, centre), scale)
+        radius_y = np.concatenate(radii[lo:hi])
         for i in range(hi - 1):
             # Set i against the sets after it: the balls of each side, in one estimate.
             later = max(lo, i + 1)
             skip, lengths = rows[lo:later].sum(), rows[later:hi]
+            x = to_frame(parts[i])
             counts, first, back = _ball_kernel(
-                to_frame(parts[i]), y[skip:], centre, (right[skip:], slack_y[skip:]), radii[i],
-                lengths, buffer, mask, radius_y[skip:],
+                x, y[skip:], _left_rows(_centred(x, centre), scale),
+                (right[skip:], slack_y[skip:]), scale, radii[i], lengths, buffer, mask,
+                radius_y[skip:],
             )
             offsets = np.cumsum(lengths) - lengths
             hits[i, later:hi] = np.add.reduceat(counts, offsets)
@@ -514,23 +601,14 @@ def ball_hits(
             f"candidate sets need 1 row or more each and {m} in all, got {lengths.tolist()}"
         )
     size, centre = max(_BLOCK_ENTRIES // 4, m), ref.mean(axis=0)
+    x_rows, y_rows = _centred(ref, centre), _centred(cand, centre)
+    scale = _scale(max(x_rows[1].max(), y_rows[1].max()))
+    x_rows, y_rows = _left_rows(x_rows, scale), _right_rows(y_rows, scale)
     counts, first, _ = _ball_kernel(
-        ref, cand, centre, _right_rows(cand, centre), radius, lengths,
-        np.empty(size), np.empty(size, dtype=bool),
+        ref, cand, x_rows, y_rows, scale, radius, lengths,
+        np.empty(size, dtype=np.float32), np.empty(size, dtype=bool),
     )
     return counts, first[0] if segments is None else first
-
-
-def density(
-    reference: EmbeddingSet | np.ndarray, candidate: EmbeddingSet | np.ndarray, k: int
-) -> float:
-    return density_coverage(reference, candidate, k)[0]
-
-
-def coverage(
-    reference: EmbeddingSet | np.ndarray, candidate: EmbeddingSet | np.ndarray, k: int
-) -> float:
-    return density_coverage(reference, candidate, k)[1]
 
 
 def harmonic_d(dns: float, cvg: float) -> float:

@@ -215,6 +215,16 @@ def capped_plan(genome: EnsembleGenome, pool: Pool, total: int) -> list[tuple[in
     return takes
 
 
+def require_neighbours(rows: int, k: int, what: str, hint: str) -> None:
+    """Raise a ParameterError naming the set ``what`` and the flags to change (``hint``)
+    unless it holds more than ``k`` rows: density and coverage take k-NN balls within it."""
+    if rows <= k:
+        raise ParameterError(
+            f"{what} holds {rows} rows, but density and coverage at --k {k} need more than "
+            f"{k} in every set; {hint}"
+        )
+
+
 def _draw_order(dataset: EmbeddingSet, seed: int, tag: str) -> np.ndarray:
     """The fixed row permutation, seeded by (seed, tag), whose prefixes every sample takes."""
     return seeded_stream(seed, tag).permutation(dataset.rows)
@@ -315,6 +325,11 @@ def pairwise_matrix(
     # whole pool is alive at once.
     to_frame = real_frame(pool.real, cfg.standardize)
     if cfg.kind is MetricKind.DENSITY_COVERAGE:
+        for (record, _), sub in zip(pool.members, subs):
+            require_neighbours(
+                sub.rows, cfg.k, f"the pairwise sample of generator '{record.id}'",
+                "lower --k, or raise --sample if the generator holds more rows",
+            )
         centre = to_frame(pool.real).mean(axis=0)
         dns, cvg = pairwise_density_coverage(subs, cfg.k, to_frame, centre)
         # harmonic_d of every entry at once, in its order of operations; the
@@ -399,6 +414,7 @@ class EnsembleEvaluator:
         self._shortest = int(self._rows.min())
         orders = [_draw_order(dataset, self.seed, record.id) for record, dataset in pool.members]
         if self.cfg.kind is MetricKind.DENSITY_COVERAGE:
+            require_neighbours(pool.real.rows, self.cfg.k, "the real set", "lower --k")
             real = self._to_frame(pool.real)
             radii = knn_radii(real, self.cfg.k)
             longest = int(self._rows.max())

@@ -8,7 +8,13 @@ import numpy as np
 
 from .errors import ParameterError
 from .metrics import density_coverage, factored_set, frechet_factored, knn_radii
-from .objective import EnsembleGenome, build_union, capped_plan, subsample_rows
+from .objective import (
+    EnsembleGenome,
+    build_union,
+    capped_plan,
+    require_neighbours,
+    subsample_rows,
+)
 from .store import Pool
 
 
@@ -90,6 +96,7 @@ def quality_rows(
     real-set size or one row per generator, whichever is larger.
     """
     drawn = None if union is None else build_union(union, pool, seed)  # checked before scoring
+    require_neighbours(pool.real.rows, k, "the real set", "lower --k")
     radii = knn_radii(pool.real, k)
     real = factored_set(pool.real)
 

@@ -17,7 +17,6 @@ from ganens import (
     SearchConfig,
     canonical_fixture_path,
     compute_gap,
-    coverage,
     density_coverage,
     dominates,
     frechet_distance,
@@ -50,7 +49,7 @@ def test_criterion_1_metric_identities():
         x = r.normal(size=(int(r.integers(8, 40)), int(r.integers(1, 6))))
         if seed % 2:
             x = np.vstack([x, x[:3]])
-        ok &= coverage(x, x, 3) == 1.0
+        ok &= density_coverage(x, x, 3)[1] == 1.0
 
     # frechet(a, a) <= 1e-6
     for seed in range(5):
@@ -149,7 +148,7 @@ def test_criterion_4_mode_recovery(tmp_path):
         excluded_e &= "E" not in chosen
         real = read_embeddings(base / "pool" / "real.emb")
         union = read_embeddings(base / "sel" / "union.emb")
-        coverages.append(coverage(real, union, 5))
+        coverages.append(density_coverage(real, union, 5)[1])
         if {"A", "C"} <= chosen:
             # only acceptable if no smaller ensemble reached equal-or-better delta
             delta = selection["objectives"]["intra"]

@@ -15,6 +15,7 @@ from ganens import (
     build_union,
     canonical_fixture_path,
     emit_pool,
+    harmonic_d,
     load_pool,
     quality_rows,
     read_embeddings,
@@ -23,7 +24,8 @@ from ganens import (
 from ganens.cli import main
 from ganens.objective import capped_plan
 
-from conftest import four_modes, gram_frechet
+from conftest import four_modes, gram_frechet, standardized_by_real
+from test_metrics import reference_density_coverage
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +113,56 @@ class TestPairwise:
         lines = (tmp_path / "pw" / "pairwise.csv").read_text().strip().split("\n")
         entry = float(lines[1].split(",")[2])
         assert entry <= 1e-4
+
+
+class TestExtremeMagnitudes:
+    def test_pairwise_equals_oracle_in_both_frames(self, tmp_path):
+        # EMB1 float32 sets near 1e19, 1e31 and 1e37, whose squared norms exceed
+        # float32's range, near 1e-30, whose products fall below its normal
+        # range, and one mixing 1e19 and 1e-30 rows. Each scale has two sets
+        # that share rows, so their entries are not all 0.
+        from ganens import EmbeddingSet, write_embeddings
+
+        rng = np.random.default_rng(31)
+        base = rng.standard_normal((30, 5))
+
+        def near(scale):
+            rows = base + 0.2 * rng.standard_normal(base.shape)
+            rows[:10] = base[:10]
+            return rows * scale
+
+        sets = {f"s{scale:.0e}-{copy}": near(scale)
+                for scale in (1e37, 1e31, 1e19, 1e-30) for copy in (1, 2)}
+        sets["mixed"] = np.vstack([near(1e19)[:15], near(1e-30)[15:]])
+        entries = []
+        for gid, rows in sets.items():
+            write_embeddings(EmbeddingSet(rows, gid), tmp_path / f"{gid}.emb")
+            entries.append({"id": gid, "model": gid, "iteration": 0, "path": f"{gid}.emb"})
+        write_embeddings(EmbeddingSet(near(1e19), "real"), tmp_path / "real.emb")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"real": "real.emb", "generators": entries}))
+        pool = load_pool(manifest)
+        data = {record.id: es.data.astype(np.float64) for record, es in pool.members}
+        norms = {gid: np.einsum("ij,ij->i", rows, rows) for gid, rows in data.items()}
+        assert norms["s1e+19-1"].max() > np.finfo(np.float32).max
+        assert norms["s1e+31-1"].min() > np.finfo(np.float32).max
+        assert np.abs(data["s1e-30-1"]).max() ** 2 < np.finfo(np.float32).tiny
+
+        for flag in ([], ["--standardize"]):
+            out = tmp_path / f"pairwise{len(flag)}"
+            assert main(["pairwise", "--manifest", str(manifest), *flag, "--out", str(out)]) == 0
+            lines = (out / "pairwise.csv").read_text().strip().split("\n")
+            assert lines[0] == "id," + ",".join(pool.ids)
+            values = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+            subs = [data[gid] for gid in pool.ids]
+            if flag:
+                subs = standardized_by_real(pool, subs)
+            for i in range(len(subs)):
+                for j in range(i + 1, len(subs)):
+                    forward = harmonic_d(*reference_density_coverage(subs[i], subs[j], 5))
+                    backward = harmonic_d(*reference_density_coverage(subs[j], subs[i], 5))
+                    assert values[i, j] == values[j, i] == (forward + backward) / 2.0, (i, j)
+            assert np.count_nonzero(values) >= 10
 
 
 class TestRankDeficientFrechet:
@@ -530,6 +582,44 @@ class TestQuality:
         assert code == 0
         lines = (tmp_path / "q" / "quality.csv").read_text().strip().split("\n")
         assert [line.split(",")[0] for line in lines[1:]][-1] == "all"
+
+
+class TestTooFewRowsForK:
+    """A set with no more rows than --k exits 2 naming the set and the flags to change."""
+
+    @staticmethod
+    def _pool(tmp_path, real_rows, first_generator_rows):
+        spec = json.loads(canonical_fixture_path().read_text())
+        spec["real_samples"] = real_rows
+        spec["generators"][0]["samples"] = first_generator_rows
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["toy", str(tmp_path / "spec.json"), "--out", str(tmp_path / "pool")]) == 0
+        return tmp_path / "pool" / "manifest.json"
+
+    def test_pairwise_sample_of_three(self, fixture_manifest, tmp_path, capsys):
+        code = main(["pairwise", "--manifest", str(fixture_manifest), "--sample", "3",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "the pairwise sample of generator 'A' holds 3 rows" in err
+        assert "--k 5" in err and "--sample" in err
+
+    @pytest.mark.filterwarnings("ignore::ganens.ShortfallWarning")  # singletons come first
+    def test_optimize_with_a_three_row_generator(self, tmp_path, capsys):
+        manifest = self._pool(tmp_path, 600, 3)
+        code = main(["optimize", "--manifest", str(manifest), "--algo", "exhaustive",
+                     "--out", str(tmp_path / "opt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "the pairwise sample of generator 'A' holds 3 rows" in err
+        assert "--k 5" in err and "--sample" in err
+
+    def test_quality_with_a_three_row_real_set(self, tmp_path, capsys):
+        manifest = self._pool(tmp_path, 3, 300)
+        code = main(["quality", "--manifest", str(manifest), "--out", str(tmp_path / "q")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "the real set holds 3 rows" in err and "--k 5" in err
 
 
 class TestGap:

@@ -15,8 +15,6 @@ from ganens import (
     Orientation,
     ParameterError,
     ball_hits,
-    coverage,
-    density,
     density_coverage,
     frechet_distance,
     gaussian_summary,
@@ -30,8 +28,13 @@ import ganens.metrics
 from ganens.metrics import (
     EIGENVALUE_CLAMP,
     _UNIT_ROUNDOFF,
+    _centred,
     _exact_squared,
+    _kth_exact,
+    _left_rows,
     _listed_inside,
+    _right_rows,
+    _scale,
     factored_set,
     frechet_factored,
     real_frame,
@@ -75,21 +78,21 @@ class TestKnnRadii:
 class TestDensityCoverage:
     def test_density_hand_examples(self):
         ref = np.array([[0.0], [1.0]])
-        assert density(ref, np.array([[0.1]]), 1) == 2.0
-        assert density(ref, ref, 1) == 2.0
-        assert density(ref, np.array([[100.0]]), 1) == 0.0
+        assert density_coverage(ref, np.array([[0.1]]), 1)[0] == 2.0
+        assert density_coverage(ref, ref, 1)[0] == 2.0
+        assert density_coverage(ref, np.array([[100.0]]), 1)[0] == 0.0
 
     def test_coverage_hand_examples(self):
         ref = np.array([[0.0], [1.0]])
-        assert coverage(ref, ref, 1) == 1.0
-        assert coverage(ref, np.array([[0.1]]), 1) == 1.0
-        assert coverage(ref, np.array([[5.0]]), 1) == 0.0
+        assert density_coverage(ref, ref, 1)[1] == 1.0
+        assert density_coverage(ref, np.array([[0.1]]), 1)[1] == 1.0
+        assert density_coverage(ref, np.array([[5.0]]), 1)[1] == 0.0
 
     def test_coverage_self_is_one_even_with_duplicates(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(15, 4))
         x = np.vstack([x, x[:3]])
-        assert coverage(x, x, 3) == 1.0
+        assert density_coverage(x, x, 3)[1] == 1.0
 
     def test_coverage_bounded(self):
         rng = np.random.default_rng(2)
@@ -97,7 +100,7 @@ class TestDensityCoverage:
             r = np.random.default_rng(seed)
             ref = r.normal(size=(25, 3))
             cand = r.normal(size=(18, 3)) + r.normal(0, 2, 3)
-            cvg = coverage(ref, cand, 3)
+            cvg = density_coverage(ref, cand, 3)[1]
             assert 0.0 <= cvg <= 1.0
 
     def test_zero_when_disjoint_beyond_max_radius(self):
@@ -159,6 +162,18 @@ def reference_radii(x, k):
     return np.partition(d, k - 1, axis=1)[:, k - 1]
 
 
+def float32_band_edges(lower, upper):
+    """A band's edges as float32 thresholds: ``lower`` rounded down and ``upper`` rounded
+    up, each checked not to be a float32 value itself. (Compared as float64: a Python
+    float meeting a float32 would become one.)"""
+    down, up = np.float32(lower), np.float32(upper)
+    down = np.nextafter(down, np.float32(-np.inf)) if float(down) > lower else down
+    up = np.nextafter(up, np.float32(np.inf)) if float(up) < upper else up
+    assert float(down) < lower < float(np.nextafter(down, np.float32(np.inf)))
+    assert float(np.nextafter(up, np.float32(-np.inf))) < upper < float(up)
+    return down, up
+
+
 def reference_density_coverage(ref, cand, k):
     inside = pairwise_distances(ref, cand) <= reference_radii(ref, k)[:, None]
     return float(inside.sum()) / (k * cand.shape[0]), float(inside.any(axis=1).mean())
@@ -184,28 +199,49 @@ def assert_entries_equal_reference(matrix, pool, k, standardize):
             assert matrix.values[i, j] == (forward + backward) / 2.0
 
 
+# Offsets and scales of the drawn sets. With scales of 1e19 and 1e31 (1e37
+# with the offset) squared norms exceed float32's range; with 1e-30 and
+# 1e-150 products fall below its normal range. Tiny rows, 1e-40 times the
+# others, meet them in one call, so their products fall below float32's
+# normal range whatever power of two scales the call.
+OFFSETS = [0.0, 1e6]
+SCALES = [1.0, 1e-150, 1e-30, 1e19, 1e31]
+
+
+def planted_magnitudes(rng, sets, offset, scale, tiny):
+    """Each set offset and scaled, and with ``tiny`` about a third of its rows made tiny."""
+    out = []
+    for rows in sets:
+        rows = (rows + offset) * scale
+        if tiny:
+            rows[rng.random(len(rows)) < 0.3] *= 1e-40
+        out.append(rows)
+    return out
+
+
 @st.composite
 def ball_sets(draw, max_rows=14):
     """Two point sets meant to put ball decisions on and near their thresholds.
 
     Integer-grid rows sit exactly on one another's radii; duplicated rows
     give zero distances and zero radii; float32-rounded rows, a common
-    offset of 1e6 and a 1e-150 scale stress the error bound of the fast
-    kernel in three different ways.
+    offset of 1e6, the scales of ``SCALES`` and tiny rows stress the error
+    bound of the fast kernel in different ways.
     """
     n = draw(st.integers(2, max_rows))
     m = draw(st.integers(2, max_rows))
     dim = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["grid", "float32", "normal"]))
-    offset = draw(st.sampled_from([0.0, 1e6]))
-    scale = draw(st.sampled_from([1.0, 1e-150]))
+    offset = draw(st.sampled_from(OFFSETS))
+    scale = draw(st.sampled_from(SCALES))
+    tiny = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     x, y = (grid_or_normal_rows(rng, kind, count, dim) for count in (n, m))
     if draw(st.booleans()):
         x[: n // 2] = x[rng.integers(0, n, n // 2)]
         y[: m // 2] = x[rng.integers(0, n, m // 2)]
-    return (x + offset) * scale, (y + offset) * scale
+    return tuple(planted_magnitudes(rng, (x, y), offset, scale, tiny))
 
 
 @st.composite
@@ -217,8 +253,9 @@ def pool_sets(draw):
     """
     dim = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["grid", "float32", "normal"]))
-    offset = draw(st.sampled_from([0.0, 1e6]))
-    scale = draw(st.sampled_from([1.0, 1e-150]))
+    offset = draw(st.sampled_from(OFFSETS))
+    scale = draw(st.sampled_from(SCALES))
+    tiny = draw(st.booleans())
     duplicates = draw(st.booleans())
     counts = draw(st.lists(st.integers(2, 12), min_size=4, max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -227,7 +264,46 @@ def pool_sets(draw):
     if duplicates:
         for g in generators:
             g[: len(g) // 2] = real[rng.integers(0, len(real), len(g) // 2)]
-    return (real + offset) * scale, [(g + offset) * scale for g in generators]
+    real, *generators = planted_magnitudes(rng, [real, *generators], offset, scale, tiny)
+    return real, generators
+
+
+@st.composite
+def radius_plants(draw):
+    """A set x, k, and rows y planted within one float32 ulp of x's k-NN radii.
+
+    Each planted row is x_i's centred row a_i = x_i - c (c the mean of x)
+    plus r_i (1 + t 2^-24) times a unit vector, t in {-1, 0, 1}, then c
+    added back: its distance to x_i is the radius to within one float32
+    ulp, and so is its float32 rounding.
+    """
+    x, _ = draw(ball_sets())
+    k = 1 + draw(st.integers(0, 100)) % (len(x) - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radii, centre = reference_radii(x, k), x.mean(axis=0)
+    balls = rng.integers(0, len(x), draw(st.integers(2, 14)))
+    direction = rng.standard_normal((len(balls), x.shape[1]))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    stretch = 1.0 + rng.integers(-1, 2, len(balls)) * 2.0**-24
+    y = centre + ((x[balls] - centre) + direction * (radii[balls] * stretch)[:, None])
+    return x, y, k
+
+
+@st.composite
+def tie_sets(draw):
+    """Rows tied at their k-th value: a point p, the 2 D points p +- s e_d at distance
+    s from it, and a few drawn rows; on the integer grid the ties are exact, and off
+    it near."""
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "normal"]))
+    spacing = float(draw(st.sampled_from([1, 2, 3])))
+    centre = grid_or_normal_rows(rng, kind, 1, dim)
+    star = centre + spacing * np.vstack([np.eye(dim), -np.eye(dim)])
+    rows = np.vstack([centre, star, grid_or_normal_rows(rng, kind, draw(st.integers(0, 6)), dim)])
+    offset = draw(st.sampled_from(OFFSETS))
+    scale = draw(st.sampled_from([1.0, 2.0**-100, 2.0**70]))
+    return rows[rng.permutation(len(rows))] * scale + offset * scale
 
 
 @st.composite
@@ -345,6 +421,9 @@ class TestReferenceEquality:
         flat = grid_or_normal_rows(rng, kind, sets * n, dim)
         if data.draw(st.booleans()):
             flat[rng.integers(0, sets * n, sets * n // 2)] = flat[rng.integers(0, sets * n, sets * n // 2)]
+        (flat,) = planted_magnitudes(
+            rng, [flat], *(data.draw(st.sampled_from(v)) for v in (OFFSETS, SCALES, [False, True]))
+        )
         stack = flat.reshape(sets, n, dim)
         k = 1 + k_draw % (n - 1)
         want = np.stack([knn_radii(x, k).radii for x in stack])
@@ -383,21 +462,129 @@ class TestReferenceEquality:
         radius, slack = np.ones(shape), np.full(shape, 0.01)
         exact = pairwise_distances(x, y) <= radius
         assert exact.tolist() == [[True, False, False, False], [False, False, True, False]]
-        sure = pairwise_distances(x, y) ** 2
+        sure = (pairwise_distances(x, y) ** 2).astype(np.float32)
         band = 0.01 + 8.0 * _UNIT_ROUNDOFF
+        lower, upper = float32_band_edges(1.0 - band, 1.0 + band)
         # One unsure entry at a time: it must be listed and recomputed, inside
         # or outside the ball.
-        for value in (np.nan, 1.0 - band, 1.0 + band):
+        for value in (np.nan, lower, upper):
             for entry in ((0, 0), (1, 2), (0, 1), (1, 3)):
                 estimate = sure.copy()
                 estimate[entry] = value
                 slices = _listed_inside(
-                    x, y, 0, estimate, radius, slack, np.empty(estimate.shape, dtype=bool)
+                    x, y, 0, estimate, radius, slack, 1.0, np.empty(estimate.shape, dtype=bool)
                 )
                 rows, cols = (np.concatenate(part) for part in zip(*slices))
                 inside = np.zeros(estimate.shape, dtype=bool)
                 inside[rows, cols] = True
                 assert np.array_equal(inside, exact), (value, entry)
+
+    def test_kth_recomputes_band_edges(self):
+        # Row 0 of the points 0..5 has exact squared distances 1, 4, 9, 16, 25.
+        # With row slack 0.01 and 9 estimated exactly, the band around H = 9 is
+        # [9 - 0.02, 9 + 0.02] rounded outward to float32. An entry planted on
+        # either edge must be in the band and recomputed: 16 on the lower edge
+        # with k = 4, and 4 on the upper edge with k = 2. Counted below the band
+        # or left above it, either would make the k-th value 9.
+        points = np.arange(6.0)[:, None]
+        slack = np.full((1, 1), 0.01)
+        lower, upper = float32_band_edges(9.0 - 0.02, 9.0 + 0.02)
+        for k, entry, value in ((4, 4, lower), (2, 2, upper)):
+            estimate = (points.T**2).astype(np.float32)[None]
+            estimate[0, 0, entry] = value
+            kth = _kth_exact(points, estimate, slack, k, 0, 0)
+            assert kth.tolist() == [[reference_radii(points, k)[0] ** 2]], (k, entry)
+
+    @settings(max_examples=200)
+    @given(sets=ball_sets(), k_draw=st.integers(0, 100), seed=st.integers(0, 2**32 - 1))
+    def test_estimates_at_the_proven_bound_decide_exactly(self, sets, k_draw, seed):
+        # Any estimate within the module docstring's first-order bound of
+        # sigma^2 s, (2D + 7) u (|a|^2 + |b|^2) + (6D + 3) lambda with
+        # u = 2^-24 and lambda = 2^-126, gives the reference's ball decisions
+        # and radii. Here every estimate errs by that bound (rounded to float32
+        # toward sigma^2 s): toward the wrong side of its ball for the ball
+        # tests, in drawn directions for the radii. The slacks are the ones the
+        # kernel builds for ball_hits and knn_radii.
+        x, y = sets
+        rng = np.random.default_rng(seed)
+
+        def planted(a, b, sigma, sign):
+            """sigma^2 s + sign * bound for every pair, rounded to float32 toward sigma^2 s."""
+            rows, cols = np.divmod(np.arange(len(a) * len(b)), len(b))
+            exact = _exact_squared(a, b, rows, cols).reshape(len(a), len(b)) * sigma**2
+            norms_a, norms_b = (_centred(z, a.mean(axis=0))[1] * sigma**2 for z in (a, b))
+            dim = a.shape[1]
+            bound = (2 * dim + 7) * 2.0**-24 * (norms_a[:, None] + norms_b)
+            bound += (6 * dim + 3) * 2.0**-126
+            target = exact + sign * bound
+            estimate = target.astype(np.float32)
+            # A rounding away from sigma^2 s takes one float32 step back toward it.
+            away = sign * (estimate - target) > 0
+            back = np.nextafter(estimate, np.where(sign > 0, -np.inf, np.inf).astype(np.float32))
+            return np.where(away, back, estimate)
+
+        def decided(estimate, radius, slack, sigma):
+            mask = np.empty(estimate.shape, dtype=bool)
+            inside = np.zeros(estimate.shape, dtype=bool)
+            for rows, cols in _listed_inside(x, y, 0, estimate, radius, slack, sigma, mask):
+                inside[rows, cols] = True
+            return inside
+
+        # Ball tests, centred on x's mean with one sigma for both sets, in both orientations.
+        centre = x.mean(axis=0)
+        (_, norms_x), (_, norms_y) = _centred(x, centre), _centred(y, centre)
+        sigma = _scale(max(norms_x.max(), norms_y.max()))
+        slack_x = _left_rows(_centred(x, centre), sigma)[1]
+        slack_y = _right_rows(_centred(y, centre), sigma)[1]
+        distances = pairwise_distances(x, y)
+        radius_x = reference_radii(x, 1 + k_draw % (len(x) - 1))[:, None]
+        radius_y = reference_radii(y, 1 + k_draw % (len(y) - 1))
+        for radius, slack in (
+            (radius_x, (slack_x + slack_y.max())[:, None]), (radius_y, slack_y + slack_x.max())
+        ):
+            want = distances <= radius
+            estimate = planted(x, y, sigma, np.where(want, 1.0, -1.0))
+            assert np.array_equal(decided(estimate, radius, slack, sigma), want)
+
+        # k-NN radii of x, on x's own mean and sigma, as knn_radii takes them.
+        k = 1 + k_draw % (len(x) - 1)
+        sigma = _scale(norms_x.max())
+        slack = _left_rows(_centred(x, centre), sigma)[1]
+        slack += _right_rows(_centred(x, centre), sigma)[1].max()
+        estimate = planted(x, x, sigma, rng.choice([-1.0, 1.0], (len(x), len(x))))
+        kth = _kth_exact(x, estimate[None], slack[None], k, 0, 0)
+        assert np.array_equal(np.sqrt(kth[0]), reference_radii(x, k))
+
+    @settings(max_examples=200)
+    @given(plants=radius_plants())
+    def test_rows_planted_on_radii_equal_reference(self, plants):
+        # Rows within one float32 ulp of a ball's edge are decided as the
+        # reference decides them, alone and in a pool, whose float32 rows move
+        # them by at most another half ulp per coordinate.
+        x, y, k = plants
+        inside = pairwise_distances(x, y) <= reference_radii(x, k)[:, None]
+        counts, first = ball_hits(x, y, k)
+        assert np.array_equal(counts, inside.sum(axis=0))
+        assert np.array_equal(first, np.where(inside.any(axis=1), inside.argmax(axis=1), len(y)))
+        assert density_coverage(x, y, k) == reference_density_coverage(x, y, k)
+        pool = make_pool({"a": x, "b": np.vstack([y, x])}, x)
+        matrix = pairwise_matrix(pool, MetricConfig(k=k), sample_per_generator=len(x) + len(y))
+        assert_entries_equal_reference(matrix, pool, k, False)
+
+    @settings(max_examples=150)
+    @given(rows=tie_sets(), k_draw=st.integers(0, 100), block_entries=st.integers(1, 400))
+    def test_radii_with_tied_kth_values_equal_reference(self, rows, k_draw, block_entries):
+        # The star's centre has 2 D neighbours at one distance, so its k-th value
+        # is tied for most k, and the narrowed recompute must count past ties.
+        k = 1 + k_draw % (len(rows) - 1)
+        want = reference_radii(rows, k)
+        assert np.array_equal(knn_radii(rows, k).radii, want)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ganens.metrics, "_BLOCK_ENTRIES", block_entries)
+            assert np.array_equal(knn_radii(np.stack([rows, rows[::-1]]), k).radii,
+                                  np.stack([want, want[::-1]]))
+        half = rows[::2]
+        assert density_coverage(rows, half, k) == reference_density_coverage(rows, half, k)
 
     @settings(max_examples=200)
     @given(sets=ball_sets(), data=st.data(), k_draw=st.integers(0, 100),

@@ -9,7 +9,7 @@ from ganens import (
     GeneratorProfile,
     ModeSpec,
     ParameterError,
-    coverage,
+    density_coverage,
     emit_pool,
     knn_radii,
     load_pool,
@@ -98,13 +98,15 @@ class TestSampleGenerator:
         synth = sample_generator(profile, modes, seed=9)
         radii = knn_radii(real, 5).radii
         assert pairwise_distances(real.data, synth.data).min() > radii.max()
-        assert coverage(real, synth, 5) == 0.0
+        assert density_coverage(real, synth, 5)[1] == 0.0
 
     def test_single_mode_covers_about_a_quarter(self):
         modes = four_modes()
         profile = GeneratorProfile("sub", (0,), samples=600)
         values = [
-            coverage(sample_real(modes, 600, s), sample_generator(profile, modes, s + 50), 5)
+            density_coverage(
+                sample_real(modes, 600, s), sample_generator(profile, modes, s + 50), 5
+            )[1]
             for s in range(10)
         ]
         assert 0.20 <= float(np.mean(values)) <= 0.30
