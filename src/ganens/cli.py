@@ -28,7 +28,7 @@ from .objective import (
     build_union,
     pairwise_matrix,
 )
-from .optimize import ParetoFront, SearchConfig, SelectionManifest, search, select_best
+from .optimize import ParetoFront, SearchConfig, SelectionManifest, check_search, search, select_best
 from .report import compute_gap, quality_rows
 from .simulate import emit_pool, load_profile_spec
 from .store import Pool, json_int, load_pool, read_json, write_embeddings
@@ -119,12 +119,13 @@ def _metric_config(flags: dict) -> MetricConfig:
 
 
 def _run_search(pool, cfg: MetricConfig, flags: dict):
-    evaluator = EnsembleEvaluator(
-        pool, cfg, seed=flags["seed"], total=flags["total"], sample_per_generator=flags["sample"]
-    )
     search_cfg = SearchConfig(
         algorithm=flags["algo"], budget=flags["budget"], population=flags["population"],
         crossover_rate=flags["crossover"], mutation_rate=flags["mutation"], seed=flags["seed"],
+    )
+    check_search(pool.size, search_cfg)
+    evaluator = EnsembleEvaluator(
+        pool, cfg, seed=flags["seed"], total=flags["total"], sample_per_generator=flags["sample"]
     )
     return search(pool, evaluator, search_cfg)
 

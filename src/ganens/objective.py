@@ -22,15 +22,14 @@ iff ``first_g[i] < take_g`` for some member g. Ball decisions are exact and
 counts are integers, so this equals ``intra_d`` of the built union bit for
 bit, whatever the row order inside the union.
 
-An evaluation is array work. It finds the genome's members once, as an
-index array that Intra-d and Inter-d share. The quotas are
-``divmod(total, n)`` on arrays, as ``quota_plan`` splits them, and are
-capped at the members' rows only when some quota can exceed them;
-``capped_plan`` runs only when a member falls short, to word the
-ShortfallWarnings. Inter-d sums ``V[m][:, m]``, the same C-ordered block
-that ``inter_d`` takes through ``np.ix_``, so the sum has the same bits.
-``intra_d``, ``inter_d``, ``capped_plan`` and ``build_union`` stay as the
-reference.
+An evaluation is array work. ``capped_plan`` is the one quota rule: it
+gives the genome's members as an index array, which Intra-d and Inter-d
+share, and their quotas from one ``divmod(total, n)``, capped at the
+pool's row counts. The manifest, the quality report and ``intra_d`` key
+the same plan by id (``quotas_by_id``). Inter-d sums ``V[m][:, m]``, the
+same C-ordered block that ``inter_d`` takes through ``np.ix_``, so the sum
+has the same bits. ``intra_d``, ``inter_d`` and ``build_union`` stay as
+the reference.
 """
 from __future__ import annotations
 
@@ -173,46 +172,56 @@ class PairwiseMatrix:
         )
 
 
-def quota_plan(genome: EnsembleGenome, total: int) -> list[tuple[int, int]]:
-    """Per-generator sampling quotas that sum exactly to ``total``.
+def quota_plan(genome: EnsembleGenome, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The selected generators' indices, in canonical order, and sampling quotas that sum
+    exactly to ``total``, as int arrays.
 
     Each selected generator gets floor(total/n); the remainder goes one each
     to the earliest selected generators in canonical pool order.
     """
-    selected = genome.indices()
-    n = len(selected)
-    if total < n:
-        raise ParameterError(f"total {total} is smaller than ensemble size {n}")
-    base, extra = divmod(total, n)
-    return [(idx, base + (1 if pos < extra else 0)) for pos, idx in enumerate(selected)]
+    members = np.frombuffer(bytes(genome.bits), dtype=np.uint8).nonzero()[0]
+    if total < members.size:
+        raise ParameterError(f"total {total} is smaller than ensemble size {members.size}")
+    if total >= 2**63:  # quotas are int64
+        raise ParameterError(f"total {total} does not fit a 64-bit row count")
+    base, extra = divmod(total, members.size)
+    quotas = np.full(members.size, base)
+    quotas[:extra] += 1
+    return members, quotas
 
 
-def _check_pool(genome: EnsembleGenome, pool: Pool, ref: str | None = None) -> None:
+def _check_pool(genome: EnsembleGenome, pool: Pool) -> None:
     if len(genome.bits) != pool.size:
         raise ParameterError(
             f"genome length {len(genome.bits)} does not match pool size {pool.size}"
         )
-    if genome.pool_ref and genome.pool_ref != (ref or pool.ref):
+    if genome.pool_ref and genome.pool_ref != pool.ref:
         raise ParameterError("genome was built against a different pool")
 
 
-def capped_plan(genome: EnsembleGenome, pool: Pool, total: int) -> list[tuple[int, int]]:
-    """The rows each member gives: ``quota_plan`` capped at its row count.
+def capped_plan(genome: EnsembleGenome, pool: Pool, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The members and the rows each gives: ``quota_plan``'s quotas capped at ``pool.rows``.
 
     A member short of its quota gives all its rows, and a ShortfallWarning names it.
     """
-    takes = []
-    for idx, quota in quota_plan(genome, total):
-        record, dataset = pool.members[idx]
-        take = min(quota, dataset.rows)
-        if take < quota:
-            warnings.warn(
-                f"generator '{record.id}' holds {dataset.rows} rows but quota is {quota}; "
-                f"union will be short by {quota - take}",
-                ShortfallWarning,
-            )
-        takes.append((idx, take))
-    return takes
+    members, quotas = quota_plan(genome, total)
+    takes = np.minimum(quotas, pool.rows[members])
+    short = takes < quotas
+    if not short.any():
+        return members, takes
+    for g, quota, take in zip(*(a[short].tolist() for a in (members, quotas, takes))):
+        warnings.warn(
+            f"generator '{pool.ids[g]}' holds {take} rows but quota is {quota}; "
+            f"union will be short by {quota - take}",
+            ShortfallWarning,
+        )
+    return members, takes
+
+
+def quotas_by_id(plan: tuple[np.ndarray, np.ndarray], pool: Pool) -> dict[str, int]:
+    """A plan's rows keyed by member id, in canonical order, as Python ints."""
+    members, takes = plan
+    return dict(zip((pool.ids[g] for g in members.tolist()), takes.tolist()))
 
 
 def require_neighbours(rows: int, k: int, what: str, hint: str) -> None:
@@ -281,8 +290,7 @@ def intra_d(
     """Metric between the real set and the genome's quota-sampled union."""
     _check_pool(genome, pool)
     plan = capped_plan(genome, pool, pool.real.rows if total is None else total)
-    quotas = {pool.members[i][0].id: take for i, take in plan}
-    return metric_d(pool.real, build_union(quotas, pool, seed), cfg)
+    return metric_d(pool.real, build_union(quotas_by_id(plan, pool), pool, seed), cfg)
 
 
 def pairwise_matrix(
@@ -383,11 +391,10 @@ class EnsembleEvaluator:
     gathers the union's rows from the pool's own arrays and calls
     ``frechet_factored``, as ``metric_d`` does: it projects the union's
     centred rows by the real factor once and takes one ``eigvalsh``, with no
-    summary of the union. The pairwise matrix is built lazily on first use.
+    summary of the union. The pairwise matrix is built last, as ``matrix``.
 
-    An evaluation shares one member index array between both objectives
-    and takes its quotas on arrays, calling ``capped_plan`` only to word a
-    shortfall (module docstring); for density and coverage it is integer
+    An evaluation shares ``capped_plan``'s member index array between both
+    objectives (module docstring); for density and coverage it is integer
     work, independent of the dimension. Either way Intra-d and Inter-d
     equal ``intra_d`` and ``inter_d`` bit for bit.
     """
@@ -406,25 +413,20 @@ class EnsembleEvaluator:
         self.total = pool.real.rows if total is None else int(total)
         if self.total < 1:
             raise ParameterError(f"union total must be >= 1, got {self.total}")
-        self.sample_per_generator = sample_per_generator
-        self._ref = pool.ref
-        self._matrix: PairwiseMatrix | None = None
         self._to_frame = real_frame(pool.real, self.cfg.standardize)
-        self._rows = np.array([dataset.rows for _, dataset in pool.members])
-        self._shortest = int(self._rows.min())
         orders = [_draw_order(dataset, self.seed, record.id) for record, dataset in pool.members]
         if self.cfg.kind is MetricKind.DENSITY_COVERAGE:
             require_neighbours(pool.real.rows, self.cfg.k, "the real set", "lower --k")
             real = self._to_frame(pool.real)
             radii = knn_radii(real, self.cfg.k)
-            longest = int(self._rows.max())
+            longest = int(pool.rows.max())
             # prefix[g, t] is read only for t <= rows of g; a rank fits the
             # smallest integer type that holds the longest generator's row count.
             self._prefix = np.zeros((pool.size, longest + 1), dtype=np.int64)
             self._first = np.empty((pool.size, real.shape[0]), dtype=np.min_scalar_type(longest))
             # Whole generators share a ball_hits call under the pairwise matrix's chunk cap.
-            for lo, hi in _chunks(self._rows.tolist(), real.shape[1] + 2):
-                rows = self._rows[lo:hi]
+            for lo, hi in _chunks(pool.rows.tolist(), real.shape[1] + 2):
+                rows = pool.rows[lo:hi]
                 drawn = np.concatenate([pool.members[g][1].data[orders[g]] for g in range(lo, hi)])
                 counts, self._first[lo:hi] = ball_hits(
                     real, self._to_frame(drawn), self.cfg.k, radii, segments=rows
@@ -434,32 +436,7 @@ class EnsembleEvaluator:
         else:
             self._orders = orders
             self._real = factored_set(pool.real, self._to_frame)
-
-    @property
-    def matrix(self) -> PairwiseMatrix:
-        if self._matrix is None:
-            self._matrix = pairwise_matrix(
-                self.pool,
-                self.cfg,
-                sample_per_generator=self.sample_per_generator,
-                seed=self.seed,
-            )
-        return self._matrix
-
-    def _plan(self, genome: EnsembleGenome) -> tuple[np.ndarray, np.ndarray]:
-        """The members, in canonical order, and the rows each gives: ``capped_plan`` as arrays."""
-        members = np.frombuffer(bytes(genome.bits), dtype=np.uint8).nonzero()[0]
-        if self.total < members.size:
-            quota_plan(genome, self.total)  # raises, in its words
-        base, extra = divmod(self.total, members.size)
-        takes = np.full(members.size, base)
-        takes[:extra] += 1
-        if base + (extra > 0) > self._shortest:
-            capped = np.minimum(takes, self._rows[members])
-            if (capped < takes).any():
-                capped_plan(genome, self.pool, self.total)  # words the ShortfallWarnings
-                takes = capped
-        return members, takes
+        self.matrix = pairwise_matrix(pool, self.cfg, sample_per_generator, self.seed)
 
     def _intra(self, members: np.ndarray, takes: np.ndarray) -> float:
         if self.cfg.kind is MetricKind.FRECHET:
@@ -484,8 +461,8 @@ class EnsembleEvaluator:
         return float((block.sum() - np.trace(block)) / (n * (n - 1)))
 
     def evaluate(self, genome: EnsembleGenome) -> ObjectiveVector:
-        _check_pool(genome, self.pool, self._ref)
-        members, takes = self._plan(genome)
+        _check_pool(genome, self.pool)
+        members, takes = capped_plan(genome, self.pool, self.total)
         return ObjectiveVector(
             intra=float(self._intra(members, takes)),
             inter=self._inter(members),

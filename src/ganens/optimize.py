@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .metrics import Orientation
-from .objective import EnsembleGenome, ObjectiveVector, capped_plan
+from .objective import EnsembleGenome, ObjectiveVector, capped_plan, quotas_by_id
 from .store import Pool
 
 EXHAUSTIVE_CAP = 20
@@ -145,6 +145,30 @@ def _bits_from_mask(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
 
 
+def _unseen_feasible(pick: int, n: int, limit: int, seen: set[tuple[int, ...]]) -> tuple[int, ...]:
+    """The ``pick``-th (from 0), in increasing order, of the nonempty masks with at most
+    ``limit`` members that ``seen`` (a set of such masks' bits) lacks.
+
+    The masks are ranked by counting, not listed: a mask's rank among the feasible
+    ones adds, at each member i, the feasible masks that share its bits above i and
+    lack i. ``pick`` steps past the seen masks' ranks, then is unranked.
+    """
+    # fill[i][c]: the i-bit low parts that complete c higher members into a feasible mask.
+    fill = [[sum(math.comb(i, j) for j in range(c == 0, limit - c + 1)) for c in range(n + 1)]
+            for i in range(n)]
+    high_first = range(n - 1, -1, -1)
+    for rank in sorted(
+        sum(fill[i][c] for c, i in enumerate(i for i in high_first if bits[i])) for bits in seen
+    ):
+        pick += rank <= pick  # a seen mask at or below the candidate shifts it on
+    bits, c = [0] * n, 0
+    for i in high_first:
+        if pick >= fill[i][c]:
+            pick -= fill[i][c]
+            bits[i], c = 1, c + 1
+    return tuple(bits)
+
+
 def _repair(bits: np.ndarray, rng: np.random.Generator, limit: int) -> None:
     """Make a proposed genome one ``evaluate`` accepts, in place, drawing from ``rng`` only
     when it must: an empty genome gains one random member, and one with more than
@@ -172,7 +196,8 @@ def _novel_bits(
     """Steer a candidate away from already-evaluated genomes.
 
     Tries escalating random flips around the duplicate, then uniform
-    redraws; for small pools the remaining genomes are enumerated exactly.
+    redraws; for small pools one of the remaining genomes is drawn exactly,
+    by rank (``_unseen_feasible``).
     Every genome it returns has at most ``limit`` members. Returns None once
     every such nonempty genome has been seen.
     """
@@ -193,12 +218,7 @@ def _novel_bits(
             if t not in seen:
                 return t
     if n <= EXHAUSTIVE_CAP:
-        mask = int(rng.integers(space - len(seen))) + 1  # rank among the unseen feasible masks
-        taken = [sum(b << i for i, b in enumerate(s)) for s in seen]
-        taken += [m for m in range(1, 1 << n) if m.bit_count() > limit] if limit < n else []
-        for skip in sorted(taken):
-            mask += skip <= mask  # a seen or infeasible mask at or below the candidate shifts it on
-        return _bits_from_mask(mask, n)
+        return _unseen_feasible(int(rng.integers(space - len(seen))), n, limit, seen)
     for _ in range(10_000):
         t = _random_bits(rng, n, limit)
         if t not in seen:
@@ -312,6 +332,17 @@ def _evolutionary(n: int, evaluate, cfg: SearchConfig, limit: int) -> None:
         parents, parent_points = combined[keep], combined_points[keep]
 
 
+def check_search(n: int, cfg: SearchConfig) -> None:
+    """Raise unless ``cfg`` can search a pool of ``n`` generators. Callers run it before
+    the evaluator's set-up, which builds the pairwise matrix."""
+    if n < 1:
+        raise ParameterError("pool has no generators")
+    if cfg.algorithm is Algorithm.EXHAUSTIVE and n > EXHAUSTIVE_CAP:
+        raise ParameterError(
+            f"exhaustive search is capped at {EXHAUSTIVE_CAP} generators, pool has {n}"
+        )
+
+
 def search(pool: Pool, evaluator, cfg: SearchConfig) -> SearchResult:
     """Run the configured candidate generation and archive every evaluation.
 
@@ -323,22 +354,16 @@ def search(pool: Pool, evaluator, cfg: SearchConfig) -> SearchResult:
     repair an empty one, by clearing members drawn from their generator.
     """
     n = pool.size
-    if n < 1:
-        raise ParameterError("pool has no generators")
+    check_search(n, cfg)
     evaluations: list[tuple[EnsembleGenome, ObjectiveVector]] = []
-    ref = pool.ref
 
     def evaluate_bits(bits: tuple[int, ...]) -> ObjectiveVector:
-        genome = EnsembleGenome(bits, ref)
+        genome = EnsembleGenome(bits, pool.ref)
         objectives = evaluator(genome)
         evaluations.append((genome, objectives))
         return objectives
 
     if cfg.algorithm is Algorithm.EXHAUSTIVE:
-        if n > EXHAUSTIVE_CAP:
-            raise ParameterError(
-                f"exhaustive search is capped at {EXHAUSTIVE_CAP} generators, pool has {n}"
-            )
         for mask in range(1, (1 << n)):
             if mask.bit_count() <= evaluator.total:
                 evaluate_bits(_bits_from_mask(mask, n))
@@ -370,7 +395,7 @@ def selection_manifest(
     manifest's total is their sum: the union's row count, short of ``total`` on a shortfall.
     """
     budget = pool.real.rows if total is None else int(total)
-    quotas = {pool.members[i][0].id: take for i, take in capped_plan(genome, pool, budget)}
+    quotas = quotas_by_id(capped_plan(genome, pool, budget), pool)
     return SelectionManifest(
         chosen=tuple(quotas),
         quotas=quotas,

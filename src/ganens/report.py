@@ -12,6 +12,7 @@ from .objective import (
     EnsembleGenome,
     build_union,
     capped_plan,
+    quotas_by_id,
     require_neighbours,
     subsample_rows,
 )
@@ -112,6 +113,5 @@ def quality_rows(
         rows.append(row("union", drawn))
     if include_all:
         plan = capped_plan(EnsembleGenome((1,) * pool.size), pool, max(pool.real.rows, pool.size))
-        quotas = {pool.members[i][0].id: take for i, take in plan}
-        rows.append(row("all", build_union(quotas, pool, seed)))
+        rows.append(row("all", build_union(quotas_by_id(plan, pool), pool, seed)))
     return rows

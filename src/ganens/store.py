@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .util import readonly, worker_count
+from .util import readonly
 
 MAGIC = b"EMB1"
 _HEADER = struct.Struct("<II")
@@ -90,29 +90,36 @@ class GeneratorRecord:
         return (self.model_name, self.iteration)
 
 
-class Pool(NamedTuple):
-    """A loaded pool: the real set plus canonically ordered generator sets."""
+@dataclass(frozen=True, eq=False)
+class Pool:
+    """A loaded pool: the real set plus canonically ordered generator sets.
+
+    The generators' ``ids``, the pool's ``ref`` (a short fingerprint
+    identifying the pool a genome indexes into) and ``rows`` (each
+    generator's row count, read-only) are computed once, at construction.
+    """
 
     real: EmbeddingSet
     members: tuple[tuple[GeneratorRecord, EmbeddingSet], ...]
+    ids: tuple[str, ...] = field(init=False)
+    ref: str = field(init=False)
+    rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        text = "|".join(f"{r.id}:{r.model_name}:{r.iteration}" for r, _ in self.members)
+        ref = hashlib.sha256(f"{self.dim}|{text}".encode("utf-8")).hexdigest()[:12]
+        object.__setattr__(self, "ids", tuple(record.id for record, _ in self.members))
+        object.__setattr__(self, "ref", ref)
+        rows = np.array([dataset.rows for _, dataset in self.members], dtype=np.int64)
+        object.__setattr__(self, "rows", readonly(rows))
 
     @property
     def size(self) -> int:
         return len(self.members)
 
     @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(record.id for record, _ in self.members)
-
-    @property
     def dim(self) -> int:
         return self.real.dim
-
-    @property
-    def ref(self) -> str:
-        """Short fingerprint identifying the pool a genome indexes into."""
-        text = "|".join(f"{r.id}:{r.model_name}:{r.iteration}" for r, _ in self.members)
-        return hashlib.sha256(f"{self.dim}|{text}".encode("utf-8")).hexdigest()[:12]
 
 
 def write_embeddings(embeddings: EmbeddingSet, dest: str | Path) -> None:
@@ -273,7 +280,7 @@ def load_pool(manifest: str | Path) -> Pool:
 
     jobs = [("real", resolve(str(doc["real"])))]
     jobs += [(record.id, resolve(record.path)) for record in records]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
         sets = list(pool.map(lambda job: read_embeddings(job[1], source_id=job[0]), jobs))
 
     real = sets[0]

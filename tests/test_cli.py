@@ -21,8 +21,9 @@ from ganens import (
     read_embeddings,
     select_best,
 )
+import ganens.cli
 from ganens.cli import main
-from ganens.objective import capped_plan
+from ganens.objective import capped_plan, quotas_by_id
 
 from conftest import four_modes, gram_frechet, standardized_by_real
 from test_metrics import reference_density_coverage
@@ -211,7 +212,7 @@ class TestRankDeficientFrechet:
         pool = load_pool(wide_manifest)
         for entry in front:
             genome = EnsembleGenome.from_ids(entry["ids"], pool, "front.json", "ids")
-            quotas = {pool.ids[i]: take for i, take in capped_plan(genome, pool, pool.real.rows)}
+            quotas = quotas_by_id(capped_plan(genome, pool, pool.real.rows), pool)
             want = gram_frechet(pool.real.data, build_union(quotas, pool, 0).data)
             assert abs(entry["intra"] - want) <= 1e-9 * want
 
@@ -622,6 +623,31 @@ class TestTooFewRowsForK:
         assert "the real set holds 3 rows" in err and "--k 5" in err
 
 
+class TestSearchFlagsBeforeSetUp:
+    """Bad search flags exit 2 before the evaluator's set-up, which builds the pairwise matrix."""
+
+    @pytest.mark.parametrize(
+        "generators, flags, words",
+        [(6, ["--budget", "10", "--population", "50"],
+          "budget 10 must cover at least one population of 50"),
+         (21, ["--algo", "exhaustive"], "exhaustive search is capped at 20 generators, pool has 21")],
+        ids=["budget-below-population", "exhaustive-over-cap"],
+    )
+    def test_no_set_up_runs(self, tmp_path, capsys, monkeypatch, generators, flags, words):
+        spec = json.loads(canonical_fixture_path().read_text())
+        spec["generators"] = [
+            {"id": f"g{i:02d}", "modes": [i % 4], "samples": 20} for i in range(generators)
+        ]
+        spec["real_samples"] = 10
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["toy", str(tmp_path / "spec.json"), "--out", str(tmp_path / "pool")]) == 0
+        monkeypatch.setattr(ganens.cli, "EnsembleEvaluator", lambda *a, **kw: pytest.fail("set-up ran"))
+        code = main(["optimize", "--manifest", str(tmp_path / "pool" / "manifest.json"), "--k", "3",
+                     *flags, "--out", str(tmp_path / "opt")])
+        assert code == 2
+        assert words in capsys.readouterr().err
+
+
 class TestGap:
     @pytest.mark.parametrize(
         "real, synth, printed",
@@ -665,17 +691,6 @@ class TestExitCodes:
     def test_missing_manifest_is_usage_error(self, tmp_path):
         code = main(["pairwise", "--manifest", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 1
-
-    def test_thread_cap_env(self, small_manifest, tmp_path, monkeypatch):
-        monkeypatch.setenv("GANENS_THREADS", "1")
-        code = main(["pairwise", "--manifest", str(small_manifest), "--out", str(tmp_path)])
-        assert code == 0
-
-    def test_bad_thread_cap(self, small_manifest, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GANENS_THREADS", "lots")
-        code = main(["pairwise", "--manifest", str(small_manifest), "--out", str(tmp_path)])
-        assert code == 2
-        assert "GANENS_THREADS" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, text, detail",

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from ganens import (
 )
 import ganens.metrics
 from ganens.metrics import factored_set, frechet_factored
-from ganens.objective import PairwiseMatrix, capped_plan
+from ganens.objective import PairwiseMatrix, capped_plan, quotas_by_id
 from ganens.optimize import selection_manifest
 
 from conftest import make_pool, standardized_by_real
@@ -36,7 +37,7 @@ def genome(bits, pool=None):
 
 def plan_quotas(bits, pool, total):
     """The id-keyed rows ``capped_plan`` gives each member of ``bits`` for a union of ``total``."""
-    return {pool.ids[i]: take for i, take in capped_plan(genome(bits, pool), pool, total)}
+    return quotas_by_id(capped_plan(genome(bits, pool), pool, total), pool)
 
 
 class TestGenome:
@@ -72,18 +73,18 @@ class TestGenome:
 
 class TestQuotaPlan:
     def test_hundred_over_three(self):
-        plan = quota_plan(EnsembleGenome((1, 1, 1)), 100)
-        assert [q for _, q in plan] == [34, 33, 33]
+        _, quotas = quota_plan(EnsembleGenome((1, 1, 1)), 100)
+        assert quotas.tolist() == [34, 33, 33]
 
     def test_singleton(self):
-        plan = quota_plan(EnsembleGenome((0, 1, 0)), 100)
-        assert plan == [(1, 100)]
+        members, quotas = quota_plan(EnsembleGenome((0, 1, 0)), 100)
+        assert members.tolist() == [1] and quotas.tolist() == [100]
 
     def test_large_remainder_split(self):
         # 4708 across 38 members: 34 quotas of 124 and 4 of 123
         g = EnsembleGenome((1,) * 38)
-        plan = quota_plan(g, 4708)
-        quotas = [q for _, q in plan]
+        _, plan = quota_plan(g, 4708)
+        quotas = plan.tolist()
         assert sum(quotas) == 4708
         assert quotas.count(124) == 34 and quotas.count(123) == 4
         # remainder goes to the earliest canonical indices
@@ -92,6 +93,13 @@ class TestQuotaPlan:
     def test_total_smaller_than_members(self):
         with pytest.raises(ParameterError, match="smaller than ensemble size"):
             quota_plan(EnsembleGenome((1, 1, 1)), 2)
+
+    def test_total_beyond_int64_rejected(self):
+        # Quotas are int64 arrays; a larger total would turn them into uint64 or floats.
+        assert quota_plan(EnsembleGenome((1,)), 2**63 - 1)[1].tolist() == [2**63 - 1]
+        for total in (2**63, 2**64 - 1, 10**20):
+            with pytest.raises(ParameterError, match="does not fit a 64-bit row count"):
+                quota_plan(EnsembleGenome((1, 0)), total)
 
     def test_quotas_always_sum_to_total(self):
         rng = np.random.default_rng(0)
@@ -103,7 +111,7 @@ class TestQuotaPlan:
             bits = np.maximum(bits, extra.astype(int))
             g = EnsembleGenome(tuple(bits))
             total = int(rng.integers(g.member_count, 500))
-            assert sum(q for _, q in quota_plan(g, total)) == total
+            assert quota_plan(g, total)[1].sum() == total
 
 
 class TestBuildUnion:
@@ -391,6 +399,23 @@ class TestEvaluator:
         evaluator = EnsembleEvaluator(pool, MetricConfig(k=2), seed=0)
         assert evaluator.evaluate(genome((0, 1, 0), pool)).inter == 0.0
 
+    @pytest.mark.parametrize("sample", [None, 5], ids=["three-row-generator", "sample-at-k"])
+    def test_short_pairwise_sample_raises_at_construction(self, sample):
+        # The pairwise matrix is built with the evaluator, so its check fails there.
+        rng = np.random.default_rng(4)
+        pool = make_pool(
+            {"a": rng.normal(size=(3 if sample is None else 20, 3)), "b": rng.normal(size=(20, 3))},
+            rng.normal(size=(20, 3)),
+        )
+        rows = 3 if sample is None else sample
+        words = (
+            f"the pairwise sample of generator 'a' holds {rows} rows, but density and coverage "
+            "at --k 5 need more than 5 in every set; lower --k, or raise --sample if the "
+            "generator holds more rows"
+        )
+        with pytest.raises(ParameterError, match=re.escape(words)):
+            EnsembleEvaluator(pool, MetricConfig(k=5), sample_per_generator=sample)
+
     def test_total_below_one_rejected(self):
         with pytest.raises(ParameterError, match="total must be >= 1, got 0"):
             EnsembleEvaluator(self._pool(), MetricConfig(k=2), total=0)
@@ -573,8 +598,11 @@ class TestOnePlan:
                 objectives = ObjectiveVector(0.0, 0.0, g.member_count, cfg)
                 selection = selection_manifest(g, objectives, pool, 1, total)
                 quotas = selection.quotas
-                shares = quota_plan(g, pool.real.rows if total is None else total)
-                assert quotas == {pool.ids[i]: min(q, pool.members[i][1].rows) for i, q in shares}
+                members, shares = quota_plan(g, pool.real.rows if total is None else total)
+                assert quotas == {
+                    pool.ids[i]: min(q, pool.members[i][1].rows)
+                    for i, q in zip(members.tolist(), shares.tolist())
+                }
                 assert sum(quotas.values()) == selection.total
                 union = build_union(quotas, pool, seed)
                 assert union.rows == selection.total

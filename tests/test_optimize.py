@@ -19,7 +19,13 @@ from ganens import (
     select_best,
     uniobjective_search,
 )
-from ganens.optimize import _bits_from_mask, _effective_points, _novel_bits, _rank_and_crowd
+from ganens.optimize import (
+    _bits_from_mask,
+    _effective_points,
+    _novel_bits,
+    _rank_and_crowd,
+    _unseen_feasible,
+)
 
 from conftest import make_pool
 
@@ -254,6 +260,26 @@ class TestNovelBits:
         assert got == listed_novel_bits(bits, reference_rng, seen, limit)
         assert got is None or sum(got) <= limit
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class TestUnseenFeasible:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_brute_force_listing(self, n):
+        # Every member limit; seen sets from empty to all but one feasible mask; picks at
+        # both ends of the unseen masks and between.
+        rng = np.random.default_rng(n)
+        for limit in range(1, n + 1):
+            feasible = [m for m in range(1, 1 << n) if bin(m).count("1") <= limit]
+            for fraction in (0.0, 0.3, 0.9, 1.0):
+                seen_masks = {m for m in feasible if rng.random() < fraction}
+                if len(seen_masks) == len(feasible):
+                    seen_masks.remove(feasible[int(rng.integers(len(feasible)))])
+                seen = {_bits_from_mask(m, n) for m in seen_masks}
+                unseen = [m for m in feasible if m not in seen_masks]
+                picks = {0, len(unseen) - 1, *rng.integers(len(unseen), size=8).tolist()}
+                for pick in sorted(picks):
+                    want = _bits_from_mask(unseen[pick], n)
+                    assert _unseen_feasible(pick, n, limit, seen) == want
 
 
 def small_pool(seed=3, generators=6, rows=40, dim=4):

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import struct
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -141,7 +143,7 @@ def test_load_pool_basic(tmp_path):
         _emit(tmp_path, f"g{i}.emb", rng.normal(size=(4, 16)))
         entries.append({"id": f"g{i}", "model": f"g{i}", "iteration": 0, "path": f"g{i}.emb"})
     pool = load_pool(_write_manifest(tmp_path, entries))
-    real, members = pool
+    real, members = pool.real, pool.members
     assert real.dim == 16
     assert len(members) == 3
     assert all(dataset.rows == 4 for _, dataset in members)
@@ -192,6 +194,26 @@ def test_canonical_order_independent_of_manifest_order(tmp_path):
     assert forward.ids == ("alpha-20000", "alpha-40000", "beta-20000", "beta-40000")
     for (_, a), (_, b) in zip(forward.members, backward.members):
         assert np.array_equal(a.data, b.data)
+
+
+def test_pool_facts_equal_their_definitions(tmp_path):
+    # ids, ref and rows are computed once, at construction, from the canonical members.
+    rng = np.random.default_rng(3)
+    _emit(tmp_path, "real.emb", rng.normal(size=(6, 4)))
+    entries = []
+    for name, rows in (("zeta", 7), ("alpha", 2), ("mid", 5)):
+        _emit(tmp_path, f"{name}.emb", rng.normal(size=(rows, 4)))
+        entries.append({"id": f"{name}-id", "model": name, "iteration": 1, "path": f"{name}.emb"})
+    pool = load_pool(_write_manifest(tmp_path, entries))
+    text = "|".join(f"{r.id}:{r.model_name}:{r.iteration}" for r, _ in pool.members)
+    assert pool.ids == tuple(record.id for record, _ in pool.members) == ("alpha-id", "mid-id", "zeta-id")
+    assert pool.ref == hashlib.sha256(f"{pool.dim}|{text}".encode("utf-8")).hexdigest()[:12]
+    assert pool.rows.tolist() == [dataset.rows for _, dataset in pool.members] == [2, 5, 7]
+    with pytest.raises(ValueError, match="read-only"):
+        pool.rows[0] = 9
+    with pytest.raises(FrozenInstanceError):
+        pool.ref = "other"
+    assert pool.rows.tolist() == [2, 5, 7]
 
 
 def test_search_space_of_110_models(tmp_path):
