@@ -376,6 +376,26 @@ def inter_d(genome: EnsembleGenome, matrix: PairwiseMatrix) -> float:
     return float((block.sum() - np.trace(block)) / (n * (n - 1)))
 
 
+def _ball_tables(pool: Pool, to_frame, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dnc prefix counts and first-hit ranks (module docstring), in the real frame."""
+    real = to_frame(pool.real)
+    radii = knn_radii(real, k)
+    longest = int(pool.rows.max())
+    # prefix[g, t] is read only for t <= rows of g; a rank fits the
+    # smallest integer type that holds the longest generator's row count.
+    prefix = np.zeros((pool.size, longest + 1), dtype=np.int64)
+    first = np.empty((pool.size, real.shape[0]), dtype=np.min_scalar_type(longest))
+    # Whole generators share a ball_hits call under the pairwise matrix's chunk cap.
+    for lo, hi in _chunks(pool.rows.tolist(), real.shape[1] + 2):
+        rows = pool.rows[lo:hi]
+        drawn = np.concatenate([es.data[_draw_order(es, seed, record.id)]
+                                for record, es in pool.members[lo:hi]])
+        counts, first[lo:hi] = ball_hits(real, to_frame(drawn), k, radii, segments=rows)
+        for g, end, count in zip(range(lo, hi), np.cumsum(rows), rows):
+            np.cumsum(counts[end - count : end], out=prefix[g, 1 : count + 1])
+    return prefix, first
+
+
 class EnsembleEvaluator:
     """Objective evaluator bound to one (pool, metric, seed, total) set.
 
@@ -414,27 +434,11 @@ class EnsembleEvaluator:
         if self.total < 1:
             raise ParameterError(f"union total must be >= 1, got {self.total}")
         self._to_frame = real_frame(pool.real, self.cfg.standardize)
-        orders = [_draw_order(dataset, self.seed, record.id) for record, dataset in pool.members]
         if self.cfg.kind is MetricKind.DENSITY_COVERAGE:
             require_neighbours(pool.real.rows, self.cfg.k, "the real set", "lower --k")
-            real = self._to_frame(pool.real)
-            radii = knn_radii(real, self.cfg.k)
-            longest = int(pool.rows.max())
-            # prefix[g, t] is read only for t <= rows of g; a rank fits the
-            # smallest integer type that holds the longest generator's row count.
-            self._prefix = np.zeros((pool.size, longest + 1), dtype=np.int64)
-            self._first = np.empty((pool.size, real.shape[0]), dtype=np.min_scalar_type(longest))
-            # Whole generators share a ball_hits call under the pairwise matrix's chunk cap.
-            for lo, hi in _chunks(pool.rows.tolist(), real.shape[1] + 2):
-                rows = pool.rows[lo:hi]
-                drawn = np.concatenate([pool.members[g][1].data[orders[g]] for g in range(lo, hi)])
-                counts, self._first[lo:hi] = ball_hits(
-                    real, self._to_frame(drawn), self.cfg.k, radii, segments=rows
-                )
-                for g, end, count in zip(range(lo, hi), np.cumsum(rows), rows):
-                    np.cumsum(counts[end - count : end], out=self._prefix[g, 1 : count + 1])
+            self._prefix, self._first = _ball_tables(pool, self._to_frame, self.cfg.k, self.seed)
         else:
-            self._orders = orders
+            self._orders = [_draw_order(es, self.seed, record.id) for record, es in pool.members]
             self._real = factored_set(pool.real, self._to_frame)
         self.matrix = pairwise_matrix(pool, self.cfg, sample_per_generator, self.seed)
 

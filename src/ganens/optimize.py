@@ -153,9 +153,9 @@ def _unseen_feasible(pick: int, n: int, limit: int, seen: set[tuple[int, ...]]) 
     ones adds, at each member i, the feasible masks that share its bits above i and
     lack i. ``pick`` steps past the seen masks' ranks, then is unranked.
     """
-    # fill[i][c]: the i-bit low parts that complete c higher members into a feasible mask.
-    fill = [[sum(math.comb(i, j) for j in range(c == 0, limit - c + 1)) for c in range(n + 1)]
-            for i in range(n)]
+    # fill[i][c]: the i-bit low parts (at most i members) that complete c higher members.
+    fill = [[sum(math.comb(i, j) for j in range(c == 0, min(limit - c, i) + 1))
+             for c in range(n + 1)] for i in range(n)]
     high_first = range(n - 1, -1, -1)
     for rank in sorted(
         sum(fill[i][c] for c, i in enumerate(i for i in high_first if bits[i])) for bits in seen

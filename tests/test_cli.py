@@ -303,6 +303,16 @@ class TestOptimize:
         assert len(rows) == evaluations
         assert max(int(row.split(",")[-1]) for row in rows) == 10
 
+    @pytest.mark.filterwarnings("ignore::ganens.ShortfallWarning")  # every member runs short
+    def test_nsga2_exhausts_space_under_huge_total(self, fixture_manifest, tmp_path):
+        # A total far past any row count bars no genome: NSGA-II sees all 63 of the
+        # fixture's nonempty genomes, the last of them drawn by rank.
+        code = main(["optimize", "--manifest", str(fixture_manifest), "--total", "1000000000",
+                     "--budget", "200", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "scatter.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 63
+
     def test_unknown_algorithm_is_usage_error(self, small_manifest, tmp_path):
         code = main(
             [

@@ -247,8 +247,8 @@ class TestNovelBits:
     @given(data=st.data(), n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1))
     def test_equals_listing_reference(self, data, n, seed):
         # A nearly full archive makes the random flips miss, so the exact draw runs;
-        # a member limit below n leaves genomes out of the space.
-        limit = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+        # a member limit below n leaves genomes out of the space, one past it bars none.
+        limit = data.draw(st.one_of(st.just(n), st.integers(1, n), st.just(10**12)))
         feasible = [m for m in range(1, 1 << n) if bin(m).count("1") <= limit]
         unseen = data.draw(st.sets(st.sampled_from(feasible), max_size=3))
         seen = {_bits_from_mask(m, n) for m in feasible if m not in unseen}
@@ -265,10 +265,11 @@ class TestNovelBits:
 class TestUnseenFeasible:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_equals_brute_force_listing(self, n):
-        # Every member limit; seen sets from empty to all but one feasible mask; picks at
-        # both ends of the unseen masks and between.
+        # Every member limit, and limits past n up to a huge quota total; seen sets from
+        # empty to all but one feasible mask; picks at both ends of the unseen masks and
+        # between.
         rng = np.random.default_rng(n)
-        for limit in range(1, n + 1):
+        for limit in (*range(1, n + 3), 10**12):
             feasible = [m for m in range(1, 1 << n) if bin(m).count("1") <= limit]
             for fraction in (0.0, 0.3, 0.9, 1.0):
                 seen_masks = {m for m in feasible if rng.random() < fraction}
