@@ -66,8 +66,9 @@ That is ``(2D + 7) u + (3D + 8) v + lambda <= (2D + 8) u`` times
 and a half times both terms, ``ERR = (3 D + 12) (u (|a|^2 + |b|^2) + 4 lambda)``;
 for D < 2^20 the margin covers the first-order approximation and the
 rounding of ERR itself. It splits ERR into a part per reference row and a
-part per candidate row, and bounds row i by its own part plus the largest
-candidate part, so no N x M array of bounds is built.
+part per candidate row, and bounds row i by its own part plus a bound on
+the other side's parts, so no N x M array of bounds is built; a looser
+bound only recomputes more entries.
 
 - A ball test ``d <= r`` uses the guard band ``band = ERR + 8 u (sigma r)^2``:
   the entry is inside when ``s^ < (sigma r)^2 - band`` and outside when
@@ -75,10 +76,10 @@ candidate part, so no N x M array of bounds is built.
   rounded outward to float32, so each comparison is a float32 one and no
   float64 copy of a block is made. The ``8 u (sigma r)^2`` term covers the
   rounding of ``r^2`` and of ``sqrt``, so a squared distance that far from
-  ``r^2`` cannot round to the other side of r. One comparison over a block
-  lists the entries not above the upper threshold, NaN included; of those,
-  the ones not below the lower threshold are recomputed exactly
-  (``_listed_inside``).
+  ``r^2`` cannot round to the other side of r. Dense comparisons over a
+  block mark the entries below the lower threshold as hits where they lie;
+  only the entries in the band, neither below it nor above the upper one
+  (NaN included), are listed and recomputed exactly (``_block_inside``).
 - A k-NN radius is the k-th smallest exact squared distance in its row,
   then ``sqrt`` (which keeps order). With H the k-th smallest estimate in
   the row and ERR bounding every entry of the row, the k-th exact value
@@ -99,18 +100,22 @@ consecutive sets of y rows (``ball_hits``) and, from the same estimate, the
 x rows in each of y's balls. Both are centred on the caller's centre and
 scaled by the caller's sigma, which keeps the bound (c enters it only
 through the rounding of x - c and y - c). It writes each block through
-``out=`` into the caller's float32 buffers: a fresh 1 MiB result per block
-lies above glibc's mmap threshold (128 KiB), so its pages would fault in
-anew. ``pairwise_density_coverage`` centres every set on the real set's
-mean in the frame, takes sigma from the largest norm of the whole pool, and
-stacks consecutive whole sets in chunks of at most ``_CHUNK_ENTRIES``
-entries (rows times D + 2; a larger set is a chunk by itself), each built
-into rows once. Each earlier set takes one kernel call per chunk; per-set
-sums of its outputs give both orders.
+``out=`` into the caller's buffers: a fresh 1 MiB result per block lies
+above glibc's mmap threshold (128 KiB), so its pages would fault in anew.
+Sure hits count where they lie (column sums of the inside masks, and a
+per-(ball, set) "any", or first-hit ranks for ``ball_hits`` alone), and the
+band entries of both orders are recomputed together, once.
+``pairwise_density_coverage`` centres every set on the real set's mean in
+the frame, takes sigma from the largest norm of the whole pool, and stacks
+consecutive whole sets in chunks of at most ``_CHUNK_ENTRIES`` entries
+(rows times D + 2; a larger set is a chunk by itself), each built into rows
+and thresholds once, with the largest norm's part of ERR bounding every x
+row's. Each earlier set takes one kernel call per chunk, which builds x's
+thresholds; per-set sums of its outputs give both orders.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -138,8 +143,6 @@ _MAX_SCALE_EXPONENT = 474
 _BLOCK_ENTRIES = 1 << 18
 # Right-hand entries per chunk of candidate sets stacked for one reference.
 _CHUNK_ENTRIES = _BLOCK_ENTRIES // 4
-# Listed entries decided at once within a block (``_listed_inside``).
-_LISTED_SLICE = 1 << 16
 
 
 class MetricKind(str, Enum):
@@ -238,11 +241,12 @@ def _exact_squared(x: np.ndarray, y: np.ndarray, rows: np.ndarray, cols: np.ndar
     column of the running sum is the reference's loop over dimensions.
     """
     out = np.empty(rows.shape[0], dtype=np.float64)
-    step = max(1, _BLOCK_ENTRIES // x.shape[1])
+    step = max(1, (_BLOCK_ENTRIES // 4) // x.shape[1])
     for start in range(0, rows.shape[0], step):
-        diff = x[rows[start : start + step]] - y[cols[start : start + step]]
+        diff = x[rows[start : start + step]]
+        diff -= y[cols[start : start + step]]
         diff *= diff
-        out[start : start + step] = np.cumsum(diff, axis=1)[:, -1]
+        out[start : start + step] = np.cumsum(diff, axis=1, out=diff)[:, -1]
     return out
 
 
@@ -301,98 +305,89 @@ def _outward(value: np.ndarray, down: bool) -> np.ndarray:
     return np.where(off, np.nextafter(rounded, np.float32(-np.inf if down else np.inf)), rounded)
 
 
-def _listed_inside(
-    x: np.ndarray, y: np.ndarray, start: int, estimate: np.ndarray,
-    radius: np.ndarray, slack: np.ndarray, scale: float, listed: np.ndarray,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Indices ``(rows, cols)`` of the entries of one block of rows from ``start`` with
-    ``d(x_i, y_j) <= radius``, decided exactly, in row-major order, yielded in
-    slices of at most ``_LISTED_SLICE`` listed entries.
-
-    ``estimate`` is the float32 block in sigma^2 units, sigma being ``scale``.
-    ``radius`` is a column (one per x row) or a row (one per y row), and
-    ``slack`` bounds the estimate's error along that axis for every entry.
-    One comparison into the mask ``listed`` lists the entries not above the
-    upper threshold, NaN included; of those, an estimate below the lower
-    threshold is inside, and the rest, in the guard band or NaN, are
-    recomputed. The slices bound the temporaries of a block whose every
-    entry is listed; only the listed indices outlive a slice.
-    """
+def _thresholds(radius: np.ndarray, slack: np.ndarray, scale: float) -> tuple[np.ndarray, ...]:
+    """``(radius, lower, upper)``: balls of ``radius`` and their float32 thresholds on
+    estimates in sigma^2 units, sigma being ``scale``, that err by at most ``slack``;
+    below ``lower`` is inside, above ``upper`` outside (module docstring)."""
     squared = (radius * scale) ** 2
     band = slack + (8.0 * _UNIT_ROUNDOFF) * squared
-    np.greater(estimate, _outward(squared + band, down=False), out=listed)
-    every = np.flatnonzero(np.logical_not(listed, out=listed))
-    lower = _outward(squared - band, down=True)
-    for lo in range(0, every.size, _LISTED_SLICE):
-        yield _decided(x, y, start, estimate, every[lo : lo + _LISTED_SLICE], radius, lower)
+    return radius, _outward(squared - band, down=True), _outward(squared + band, down=False)
 
 
-def _decided(
-    x: np.ndarray, y: np.ndarray, start: int, estimate: np.ndarray, flat: np.ndarray,
-    radius: np.ndarray, lower: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_listed_inside``'s ``(rows, cols)`` among the listed entries ``flat`` of the block:
-    inside when the estimate is below ``lower`` (the lower threshold), else recomputed."""
-    rows = flat // estimate.shape[1]
-    cols = flat - rows * estimate.shape[1]
-    ball = rows if radius.ndim == 2 else cols
-    inside = estimate.ravel()[flat] < lower.ravel()[ball]
-    unsure = np.flatnonzero(~inside)
-    if unsure.size:
-        exact = np.sqrt(_exact_squared(x, y, rows[unsure] + start, cols[unsure]))
-        inside[unsure] = exact <= radius.ravel()[ball[unsure]]
-    return rows[inside], cols[inside]
+def _block_inside(
+    x: np.ndarray, y: np.ndarray, start: int, estimate: np.ndarray, sides: list, masks: np.ndarray
+) -> np.ndarray:
+    """Per side of balls, the exact mask of the entries of an estimate block of x rows
+    from ``start`` inside them. A side is ``_thresholds``' triple as columns (a ball
+    per x row) or rows (per y row). Comparisons into ``masks`` (two bool rows per
+    side) mark the sure hits; entries in any side's band, NaN included, are listed
+    in slices of whole rows, about a quarter of ``_BLOCK_ENTRIES`` entries each, and
+    recomputed once for all sides (outside a band, exact and sure decisions agree).
+    """
+    height, m = estimate.shape
+    masks = masks[: 2 * len(sides), : estimate.size].reshape(-1, height, m)
+    inside, settled = masks[: len(sides)], masks[len(sides) :]
+    for (_, lower, upper), sure, done in zip(sides, inside, settled):
+        np.less(estimate, lower, out=sure)
+        np.greater(estimate, upper, out=done)
+        done |= sure
+    settled[0] &= settled[-1]
+    if settled[0].all():
+        return inside
+    step = max(1, (_BLOCK_ENTRIES // 4) // m)
+    for lo in range(0, height, step):
+        rows, cols = np.divmod(np.flatnonzero(~settled[0, lo : lo + step]), m)
+        if rows.size:
+            rows += lo
+            exact = np.sqrt(_exact_squared(x[start:], y, rows, cols))
+            for (radius, _, _), sure in zip(sides, inside):
+                hit = exact <= (radius[rows, 0] if radius.ndim == 2 else radius[cols])
+                sure[rows[hit], cols[hit]] = True
+    return inside
 
 
 def _ball_kernel(
     x: np.ndarray, y: np.ndarray, x_rows: tuple[np.ndarray, np.ndarray],
     y_rows: tuple[np.ndarray, np.ndarray], scale: float, radius: np.ndarray,
-    lengths: np.ndarray, buffer: np.ndarray, mask: np.ndarray, radius_y: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``ball_hits``' ``(counts, first)`` for x's balls of ``radius`` on the consecutive
-    sets of ``lengths`` rows in y, and ``back[j]``, the number of x rows inside y's
-    ball j of ``radius_y`` (None without it). ``x_rows`` and ``y_rows`` are
-    ``_left_rows`` of x and ``_right_rows`` of y on one centre and sigma ``scale``;
-    a caller builds y's once for every x it meets. Each block of x rows, as many as
-    the float32 ``buffer`` and ``mask`` hold (at least one), is estimated and listed
-    into them.
+    lengths: np.ndarray, buffer: np.ndarray, masks: np.ndarray,
+    y_side: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None, ranks: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(sums, first)`` of x's balls of ``radius`` on the consecutive sets of ``lengths``
+    rows in y: ``sums[0][j]`` counts x's balls holding y row j, ``first`` is
+    ``ball_hits``', and with ``y_side`` (``_thresholds`` of y's balls) ``sums[1][j]``
+    counts the x rows inside y's ball j. Without ``ranks`` a hit reads the set's length
+    less one in ``first``: below the length, all that coverage needs.
+
+    ``x_rows`` and ``y_rows`` are ``_left_rows`` of x and ``_right_rows`` of y on one
+    centre and sigma ``scale``; a caller builds y's rows and thresholds once for
+    every x it meets. Each block of x rows, as many as the float32 ``buffer`` holds
+    (at least one), is estimated into it and decided into ``masks``.
     """
     left, slack_x = x_rows
     right, slack_y = y_rows
     m = y.shape[0]
     offsets = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(lengths.size), lengths)
-    counts = np.zeros(m, dtype=np.int64)
-    first = np.repeat(lengths[:, None], x.shape[0], axis=1)
-    back = None if radius_y is None else np.zeros(m, dtype=np.int64)
     # Slacks over all rows or columns still bound every entry of a block.
-    slack_i, slack_j = slack_x + slack_y.max(), slack_y + slack_x.max()
+    x_side = _thresholds(radius, slack_x + slack_y.max(), scale)
+    sums = np.zeros((1 if y_side is None else 2, m), dtype=np.int64)
+    first = np.empty((lengths.size, x.shape[0]), dtype=np.int64)
+    # Each column's rank counted back from its set's end: a ball's largest over its hits
+    # is its set's length less the first hit's rank, and 0 where no row hits it.
+    tail = (np.repeat(offsets + lengths, lengths) - np.arange(m)).astype(np.min_scalar_type(m))
     step = buffer.size // m
     for start in range(0, x.shape[0], step):
         block = slice(start, start + step)
         out = buffer[: len(left[block]) * m].reshape(-1, m)
         with np.errstate(invalid="ignore"):  # a NaN entry falls in the band
             estimate = np.matmul(left[block], right.T, out=out)
-        listed = mask[: estimate.size].reshape(estimate.shape)
-        # Hits come row by row with rising columns, so a (ball, set) key never
-        # falls, and its first occurrence is the set's first row in that ball;
-        # a slice's first key may continue the previous slice's last.
-        last = -1
-        for rows, cols in _listed_inside(
-            x, y, start, estimate, radius[block, None], slack_i[block, None], scale, listed
-        ):
-            counts += np.bincount(cols, minlength=m)
-            if not cols.size:
-                continue
-            key = rows * lengths.size + owner[cols]
-            head = np.flatnonzero(np.concatenate(([key[0] != last], key[1:] != key[:-1])))
-            last = key[-1]
-            sets = owner[cols[head]]
-            first[sets, start + rows[head]] = cols[head] - offsets[sets]
-        if back is not None:
-            for _, cols in _listed_inside(x, y, start, estimate, radius_y, slack_j, scale, listed):
-                back += np.bincount(cols, minlength=m)
-    return counts, first, back
+        sides = [tuple(t[block, None] for t in x_side)] + ([] if y_side is None else [y_side])
+        inside = _block_inside(x, y, start, estimate, sides, masks)
+        # uint8 sums of at most 255 rows are several times faster than wider sums.
+        for lo in range(0, len(estimate), 255):
+            sums += np.add.reduce(inside[:, lo : lo + 255].view(np.uint8), axis=1, dtype=np.uint8)
+        first[:, block] = lengths[:, None] - np.maximum.reduceat(  # without ranks, tails of 1
+            inside[0] * tail if ranks else inside[0].view(np.uint8), offsets, 1).T
+    return sums, first
 
 
 def _kth_exact(
@@ -517,8 +512,8 @@ def pairwise_density_coverage(
 
     x_i is ``to_frame(sets[i])`` (``real_frame`` gives the map); every
     estimate row is centred on ``centre`` and scaled by one sigma, taken
-    from the largest squared norm about ``centre`` in the whole pool
-    (module docstring).
+    from the largest squared norm about ``centre`` in the whole pool, and
+    each chunk's rows and thresholds are built once (module docstring).
     """
     parts = [s.data if isinstance(s, EmbeddingSet) else np.asarray(s) for s in sets]
     n, rows, width = len(parts), np.array([part.shape[0] for part in parts]), parts[0].shape[1] + 2
@@ -534,25 +529,28 @@ def pairwise_density_coverage(
         framed = to_frame(np.stack(parts[lo:hi]))
         radii.extend(knn_radii(framed, k).radii)
         peak = max(peak, float(_centred(framed, centre)[1].max()))
+        del framed
     scale = _scale(peak)
+    # No x row's part of the bound exceeds that of a row with the pool's largest norm.
+    slack_x = _left_rows((np.zeros(width - 2), np.float64(peak)), scale)[1]
     hits, covered = np.zeros((2, n, n), dtype=np.int64)
     chunks = list(_chunks(rows.tolist(), width))
     size = max(_BLOCK_ENTRIES, *(rows[lo:hi].sum() for lo, hi in chunks))
     # One of each per matrix.
-    buffer, mask = np.empty(size, dtype=np.float32), np.empty(size, dtype=bool)
+    buffer, masks = np.empty(size, dtype=np.float32), np.empty((4, size), dtype=bool)
     for lo, hi in chunks:
         y = to_frame(np.concatenate(parts[lo:hi]) if hi - lo > 1 else parts[lo])
         right, slack_y = _right_rows(_centred(y, centre), scale)
-        radius_y = np.concatenate(radii[lo:hi])
+        y_side = _thresholds(np.concatenate(radii[lo:hi]), slack_y + slack_x, scale)
         for i in range(hi - 1):
             # Set i against the sets after it: the balls of each side, in one estimate.
             later = max(lo, i + 1)
             skip, lengths = rows[lo:later].sum(), rows[later:hi]
             x = to_frame(parts[i])
-            counts, first, back = _ball_kernel(
+            (counts, back), first = _ball_kernel(
                 x, y[skip:], _left_rows(_centred(x, centre), scale),
-                (right[skip:], slack_y[skip:]), scale, radii[i], lengths, buffer, mask,
-                radius_y[skip:],
+                (right[skip:], slack_y[skip:]), scale, radii[i], lengths, buffer, masks,
+                tuple(t[skip:] for t in y_side),
             )
             offsets = np.cumsum(lengths) - lengths
             hits[i, later:hi] = np.add.reduceat(counts, offsets)
@@ -604,9 +602,9 @@ def ball_hits(
     x_rows, y_rows = _centred(ref, centre), _centred(cand, centre)
     scale = _scale(max(x_rows[1].max(), y_rows[1].max()))
     x_rows, y_rows = _left_rows(x_rows, scale), _right_rows(y_rows, scale)
-    counts, first, _ = _ball_kernel(
+    (counts,), first = _ball_kernel(
         ref, cand, x_rows, y_rows, scale, radius, lengths,
-        np.empty(size, dtype=np.float32), np.empty(size, dtype=bool),
+        np.empty(size, dtype=np.float32), np.empty((2, size), dtype=bool), ranks=True,
     )
     return counts, first[0] if segments is None else first
 

@@ -309,9 +309,9 @@ def pairwise_matrix(
     Density and coverage are asymmetric, so a dnc entry averages both
     argument orders, all from one ``pairwise_density_coverage`` call. Each
     subsample meets the later ones of a memory-capped chunk in one call of
-    the ball kernel ``ball_hits`` runs on, which decides both orders' balls
-    from one estimate centred on the real set's mean (any fixed centre keeps
-    the error bound; ``metrics`` docstring).
+    the ball kernel ``ball_hits`` runs on: from one estimate centred on the
+    real set's mean, it counts both orders' sure hits in place and lists
+    only the entries in either guard band, each recomputed exactly once.
 
     A fid entry is ``frechet_factored`` of the two subsamples' ``FactoredSet``s
     (``metrics`` docstring), one product of their stored factors, for i < j,

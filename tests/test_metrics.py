@@ -28,13 +28,14 @@ import ganens.metrics
 from ganens.metrics import (
     EIGENVALUE_CLAMP,
     _UNIT_ROUNDOFF,
+    _block_inside,
     _centred,
     _exact_squared,
     _kth_exact,
     _left_rows,
-    _listed_inside,
     _right_rows,
     _scale,
+    _thresholds,
     factored_set,
     frechet_factored,
     real_frame,
@@ -453,31 +454,39 @@ class TestReferenceEquality:
             assert np.array_equal(counts[lo:hi], own_counts)
             assert np.array_equal(first[s], own_first)
 
-    @pytest.mark.parametrize("axis", ["column", "row"])
-    def test_closed_ball_recomputes_nan_and_band_edges(self, axis):
-        # Radius 1 everywhere; row 0 holds y0 and row 1 holds y2, nothing else.
+    @pytest.mark.parametrize("axis", ["column", "row", "both"])
+    def test_closed_ball_recomputes_nan_and_band_edges(self, axis, monkeypatch):
+        # Radius 1 everywhere; row 0 holds y0 and row 1 holds y2, nothing else,
+        # for x's balls (a column of radii) and for y's (a row). With both
+        # sides, each planted entry is in the band of x's ball and y's at once.
         x = np.array([[0.0], [10.0]])
         y = np.array([[0.5], [2.0], [10.25], [13.0]])
-        shape = (2, 1) if axis == "column" else (4,)
-        radius, slack = np.ones(shape), np.full(shape, 0.01)
-        exact = pairwise_distances(x, y) <= radius
+        shapes = {"column": (2, 1), "row": (4,)}
+        axes = ["column", "row"] if axis == "both" else [axis]
+        sides = [_thresholds(np.ones(shapes[a]), np.full(shapes[a], 0.01), 1.0) for a in axes]
+        exact = pairwise_distances(x, y) <= 1.0
         assert exact.tolist() == [[True, False, False, False], [False, False, True, False]]
         sure = (pairwise_distances(x, y) ** 2).astype(np.float32)
         band = 0.01 + 8.0 * _UNIT_ROUNDOFF
         lower, upper = float32_band_edges(1.0 - band, 1.0 + band)
-        # One unsure entry at a time: it must be listed and recomputed, inside
-        # or outside the ball.
+        recomputed = []
+
+        def recording(a, b, rows, cols):
+            recomputed.extend(zip(rows.tolist(), cols.tolist()))
+            return _exact_squared(a, b, rows, cols)
+
+        monkeypatch.setattr(ganens.metrics, "_exact_squared", recording)
+        # One unsure entry at a time: it must be listed and recomputed, once for
+        # every side, inside or outside the ball.
         for value in (np.nan, lower, upper):
             for entry in ((0, 0), (1, 2), (0, 1), (1, 3)):
                 estimate = sure.copy()
                 estimate[entry] = value
-                slices = _listed_inside(
-                    x, y, 0, estimate, radius, slack, 1.0, np.empty(estimate.shape, dtype=bool)
-                )
-                rows, cols = (np.concatenate(part) for part in zip(*slices))
-                inside = np.zeros(estimate.shape, dtype=bool)
-                inside[rows, cols] = True
-                assert np.array_equal(inside, exact), (value, entry)
+                recomputed.clear()
+                masks = np.empty((4, estimate.size), dtype=bool)
+                for inside in _block_inside(x, y, 0, estimate, sides, masks):
+                    assert np.array_equal(inside, exact), (value, entry)
+                assert recomputed == [entry], (value, entry)
 
     def test_kth_recomputes_band_edges(self):
         # Row 0 of the points 0..5 has exact squared distances 1, 4, 9, 16, 25.
@@ -524,11 +533,9 @@ class TestReferenceEquality:
             return np.where(away, back, estimate)
 
         def decided(estimate, radius, slack, sigma):
-            mask = np.empty(estimate.shape, dtype=bool)
-            inside = np.zeros(estimate.shape, dtype=bool)
-            for rows, cols in _listed_inside(x, y, 0, estimate, radius, slack, sigma, mask):
-                inside[rows, cols] = True
-            return inside
+            masks = np.empty((2, estimate.size), dtype=bool)
+            sides = [_thresholds(radius, slack, sigma)]
+            return _block_inside(x, y, 0, estimate, sides, masks)[0]
 
         # Ball tests, centred on x's mean with one sigma for both sets, in both orientations.
         centre = x.mean(axis=0)
@@ -588,10 +595,11 @@ class TestReferenceEquality:
 
     @settings(max_examples=200)
     @given(sets=ball_sets(), data=st.data(), k_draw=st.integers(0, 100),
-           listed_slice=st.integers(1, 5), standardize=st.booleans())
-    def test_listed_slices_equal_reference(self, sets, data, k_draw, listed_slice, standardize):
-        # Slices of a few listed entries split a ball's hits, and the hits of one
-        # (ball, set) pair, across slices.
+           block_entries=st.integers(1, 24), standardize=st.booleans())
+    def test_listed_slices_equal_reference(self, sets, data, k_draw, block_entries, standardize):
+        # Blocks of one x row, and band slices of one row and a few entries,
+        # split a ball's hits, and the hits of one (ball, set) pair, across
+        # blocks; the listing of a block's band splits across slices.
         x, y = sets
         k = 1 + k_draw % (x.shape[0] - 1)
         cuts = sorted(data.draw(st.sets(st.integers(1, len(y) - 1), max_size=4)))
@@ -601,7 +609,7 @@ class TestReferenceEquality:
         pool_k = 1 + k_draw % (size - 1)
         want = [ball_hits(x, y[lo:hi], k) for lo, hi in zip(bounds, bounds[1:])]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ganens.metrics, "_LISTED_SLICE", listed_slice)
+            patch.setattr(ganens.metrics, "_BLOCK_ENTRIES", block_entries)
             counts, first = ball_hits(x, y, k, segments=np.diff(bounds))
             matrix = pairwise_matrix(pool, MetricConfig(k=pool_k, standardize=standardize))
         for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
@@ -624,6 +632,27 @@ class TestReferenceEquality:
             tracemalloc.stop()
         assert peak < 12 * 2**20
         assert matrix.values[0, 1] == harmonic_d(512 / 511, 1.0)
+
+    def test_every_entry_in_the_band_equals_reference(self):
+        # Two copies of a 512-row identity: every distance off the diagonal and
+        # every k-NN radius is sqrt(2), so nearly every entry of the single
+        # 2^18-entry block sits on the edge of both its balls, and is listed and
+        # recomputed. Sliced, the listing keeps the matrix stage under the bound
+        # of the test above.
+        base = np.eye(512)
+        pool = make_pool({"a": base, "b": base.copy()}, base)
+        tracemalloc.start()
+        try:
+            matrix = pairwise_matrix(pool, MetricConfig(k=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        assert_entries_equal_reference(matrix, pool, 5, False)
+        inside = pairwise_distances(base, base) <= reference_radii(base, 5)[:, None]
+        counts, first = ball_hits(base, base.copy(), 5)
+        assert np.array_equal(counts, inside.sum(axis=0))
+        assert np.array_equal(first, inside.argmax(axis=1))
 
     def test_band_recompute_sums_in_reference_order(self):
         # Magnitudes spread over 16 decades make the rounded sum depend on
