@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import DataError, GanensError, NumericError, ParameterError
+from .errors import DataError, GanensError, NumericError
 from .metrics import MetricConfig, Orientation
 from .objective import (
     EnsembleEvaluator,
@@ -349,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         click.echo(f"numeric error: {exc}", err=True)
         return 3
-    except (DataError, ParameterError, GanensError) as exc:
+    except GanensError as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except OSError as exc:

@@ -22,14 +22,14 @@ iff ``first_g[i] < take_g`` for some member g. Ball decisions are exact and
 counts are integers, so this equals ``intra_d`` of the built union bit for
 bit, whatever the row order inside the union.
 
-An evaluation is array work. ``capped_plan`` is the one quota rule: it
-gives the genome's members as an index array, which Intra-d and Inter-d
-share, and their quotas from one ``divmod(total, n)``, capped at the
-pool's row counts. The manifest, the quality report and ``intra_d`` key
-the same plan by id (``quotas_by_id``). Inter-d sums ``V[m][:, m]``, the
-same C-ordered block that ``inter_d`` takes through ``np.ix_``, so the sum
-has the same bits. ``intra_d``, ``inter_d`` and ``build_union`` stay as
-the reference.
+An evaluation is array work. ``capped_plan``, the one quota rule, is the
+gate from a genome to its pool (``inter_d`` checks against the matrix): it
+gives the members as an index array m, which Intra-d and Inter-d share,
+and quotas from one ``divmod(total, n)``, capped at the pool's row counts.
+The manifest, the quality report and ``intra_d`` key the same plan by id
+(``quotas_by_id``). Inter-d is one block mean over ``V[m][:, m]``, for
+the evaluator and ``inter_d`` alike. ``intra_d``, ``inter_d`` and
+``build_union`` stay as the reference.
 """
 from __future__ import annotations
 
@@ -190,20 +190,21 @@ def quota_plan(genome: EnsembleGenome, total: int) -> tuple[np.ndarray, np.ndarr
     return members, quotas
 
 
-def _check_pool(genome: EnsembleGenome, pool: Pool) -> None:
-    if len(genome.bits) != pool.size:
-        raise ParameterError(
-            f"genome length {len(genome.bits)} does not match pool size {pool.size}"
-        )
-    if genome.pool_ref and genome.pool_ref != pool.ref:
+def _check_pool(genome: EnsembleGenome, size: int, ref: str) -> None:
+    if len(genome.bits) != size:
+        raise ParameterError(f"genome length {len(genome.bits)} does not match pool size {size}")
+    if genome.pool_ref and genome.pool_ref != ref:
         raise ParameterError("genome was built against a different pool")
 
 
 def capped_plan(genome: EnsembleGenome, pool: Pool, total: int) -> tuple[np.ndarray, np.ndarray]:
     """The members and the rows each gives: ``quota_plan``'s quotas capped at ``pool.rows``.
 
-    A member short of its quota gives all its rows, and a ShortfallWarning names it.
+    It is the gate every path naming an ensemble passes: a genome of another length or
+    pool raises a ParameterError. A member short of its quota gives all its rows, and a
+    ShortfallWarning names it.
     """
+    _check_pool(genome, pool.size, pool.ref)
     members, quotas = quota_plan(genome, total)
     takes = np.minimum(quotas, pool.rows[members])
     short = takes < quotas
@@ -288,7 +289,6 @@ def intra_d(
     total: int | None = None,
 ) -> float:
     """Metric between the real set and the genome's quota-sampled union."""
-    _check_pool(genome, pool)
     plan = capped_plan(genome, pool, pool.real.rows if total is None else total)
     return metric_d(pool.real, build_union(quotas_by_id(plan, pool), pool, seed), cfg)
 
@@ -366,13 +366,19 @@ def inter_d(genome: EnsembleGenome, matrix: PairwiseMatrix) -> float:
 
     With symmetrized entries the mean over ordered pairs equals the mean
     over unordered pairs. A singleton has no pairs, so the mean is
-    undefined there; zero keeps singletons admissible by convention.
+    undefined there; zero keeps singletons admissible by convention. A
+    genome of another length or pool than the matrix's raises a ParameterError.
     """
-    selected = genome.indices()
-    n = len(selected)
+    _check_pool(genome, len(matrix.ids), matrix.pool_ref)
+    return _block_mean(matrix.values, np.flatnonzero(genome.bits))
+
+
+def _block_mean(values: np.ndarray, members: np.ndarray) -> float:
+    """The mean of ``values[members][:, members]`` off its diagonal; 0 for one member."""
+    n = members.size
     if n < 2:
         return 0.0
-    block = matrix.values[np.ix_(selected, selected)]
+    block = values[members][:, members]
     return float((block.sum() - np.trace(block)) / (n * (n - 1)))
 
 
@@ -413,10 +419,10 @@ class EnsembleEvaluator:
     centred rows by the real factor once and takes one ``eigvalsh``, with no
     summary of the union. The pairwise matrix is built last, as ``matrix``.
 
-    An evaluation shares ``capped_plan``'s member index array between both
-    objectives (module docstring); for density and coverage it is integer
-    work, independent of the dimension. Either way Intra-d and Inter-d
-    equal ``intra_d`` and ``inter_d`` bit for bit.
+    An evaluation takes ``capped_plan``'s gate and member index array, shared
+    by both objectives (module docstring): Inter-d is ``inter_d``'s block
+    mean, and dnc Intra-d is integer work, independent of the dimension.
+    Either way Intra-d and Inter-d equal ``intra_d`` and ``inter_d`` bit for bit.
     """
 
     def __init__(
@@ -456,20 +462,11 @@ class EnsembleEvaluator:
         dns = hits / (self.cfg.k * int(takes.sum()))
         return harmonic_d(dns, covered / self._first.shape[1])
 
-    def _inter(self, members: np.ndarray) -> float:
-        """``inter_d``: the same block, C-ordered, so its sum has the same bits."""
-        n = members.size
-        if n < 2:
-            return 0.0
-        block = self.matrix.values[members][:, members]
-        return float((block.sum() - np.trace(block)) / (n * (n - 1)))
-
     def evaluate(self, genome: EnsembleGenome) -> ObjectiveVector:
-        _check_pool(genome, self.pool)
         members, takes = capped_plan(genome, self.pool, self.total)
         return ObjectiveVector(
             intra=float(self._intra(members, takes)),
-            inter=self._inter(members),
+            inter=_block_mean(self.matrix.values, members),
             member_count=members.size,
             metric=self.cfg,
         )

@@ -7,10 +7,10 @@ extracted over the full archive, not just the final population. The
 evolutionary loop never re-evaluates a genome it has already seen, so its
 budget counts unique evaluations and the search degenerates gracefully into
 full enumeration once the budget covers the whole space. Dominance works on
-one (m, 2) array of effective objectives: the front is the O(m log m) 2-D
-maxima sweep of Kung, Luccio & Preparata (JACM 1975), and NSGA-II ranks (Deb
-et al., IEEE TEVC 2002) peel a broadcast dominance matrix. Both agree
-exactly with pairwise ``dominates``.
+one (m, 2) array of effective objectives, sorted once for one 2-D maxima
+sweep (Kung, Luccio & Preparata, JACM 1975): it gives the front, and NSGA-II
+ranks (Deb et al., IEEE TEVC 2002) peel its fronts one after another. Both
+agree exactly with pairwise ``dominates``.
 """
 from __future__ import annotations
 
@@ -68,9 +68,6 @@ class ParetoFront:
     entries: tuple[tuple[EnsembleGenome, ObjectiveVector], ...]
     orientation: Orientation
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -113,15 +110,25 @@ def _effective_points(objectives: list[ObjectiveVector]) -> np.ndarray:
     return np.array([o.effective() for o in objectives], dtype=np.float64)
 
 
+def _non_dominated(sorted_points: np.ndarray) -> np.ndarray:
+    """Which of the nonempty (m, 2) ``sorted_points``, in descending delta, then ascending
+    Delta, no other dominates, by Kung et al.'s sweep.
+
+    A group of equal delta keeps its points at the group's least Delta if that
+    lies strictly below every Delta of higher delta; equal points all stay.
+    """
+    delta, overlap = sorted_points.T
+    starts = np.r_[True, delta[1:] != delta[:-1]]
+    group = np.cumsum(starts) - 1
+    least = overlap[starts]  # each group sorts by ascending Delta
+    above = np.r_[np.inf, np.minimum.accumulate(least)[:-1]]
+    return (overlap == least[group]) & (least[group] < above[group])
+
+
 def extract_front(
     evaluated: list[tuple[EnsembleGenome, ObjectiveVector]]
 ) -> ParetoFront:
-    """Non-dominated subset of an evaluation archive, by Kung et al.'s sweep.
-
-    Entries sort by descending effective delta, then ascending Delta. A group
-    of equal delta keeps its entries at the group's least Delta if that lies
-    strictly below every Delta of higher delta; equal points all stay.
-    """
+    """Non-dominated subset of an evaluation archive, by ``_non_dominated``'s sweep."""
     if not evaluated:
         raise ParameterError("cannot extract a front from an empty evaluation list")
     unique: dict[tuple[int, ...], tuple[EnsembleGenome, ObjectiveVector]] = {}
@@ -130,12 +137,7 @@ def extract_front(
     entries = list(unique.values())
     points = _effective_points([objectives for _, objectives in entries])
     order = np.lexsort((points[:, 1], -points[:, 0]))
-    delta, overlap = points[order].T
-    starts = np.r_[True, delta[1:] != delta[:-1]]
-    group = np.cumsum(starts) - 1
-    least = overlap[starts]  # each group sorts by ascending Delta
-    above = np.r_[np.inf, np.minimum.accumulate(least)[:-1]]
-    keep = [entries[i] for i in order[(overlap == least[group]) & (least[group] < above[group])]]
+    keep = [entries[i] for i in order[_non_dominated(points[order])]]
     keep.sort(key=lambda e: (-e[1].effective()[0], e[1].effective()[1], e[0].bits))
     orientation = evaluated[0][1].metric.orientation
     return ParetoFront(entries=tuple(keep), orientation=orientation)
@@ -229,23 +231,20 @@ def _novel_bits(
 def _rank_and_crowd(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Non-dominated sort ranks plus per-front crowding distances (Deb et al.).
 
-    ``points`` are (m, 2) effective objectives (``_effective_points``). Ranks
-    peel ``dominance[i, j]`` (i dominates j, the test of ``dominates``): the
-    unranked points with no unranked dominator form the next front. Crowding
-    takes every front at once: along each axis, points sort by front, then
-    by value (stably), the ends of a front are infinite, and a point inside
-    one adds its neighbours' gap over the front's range, when that is not 0.
+    ``points`` are (m, 2) effective objectives (``_effective_points``), sorted
+    once as ``_non_dominated`` takes them; the unranked points it keeps form
+    the next front, and the rest stay sorted. Crowding takes every front at
+    once: along each axis, points sort by front, then by value (stably), the
+    ends of a front are infinite, and a point inside one adds its
+    neighbours' gap over the front's range, when that is not 0.
     """
     m = len(points)
-    x, y = points[:, :1], points[:, 1:]
-    dominance = (x >= x.T) & (y <= y.T) & ((x > x.T) | (y < y.T))
-    dominators = dominance.sum(axis=0)
-    ranks = np.full(m, -1, dtype=np.int64)
-    current, rank = np.flatnonzero(dominators == 0), 0
-    while current.size:
-        ranks[current] = rank
-        dominators -= dominance[current].sum(axis=0)
-        current, rank = np.flatnonzero((dominators == 0) & (ranks < 0)), rank + 1
+    ranks = np.empty(m, dtype=np.int64)
+    rest, rank = np.lexsort((points[:, 1], -points[:, 0])), 0
+    while rest.size:
+        front = _non_dominated(points[rest])
+        ranks[rest[front]] = rank
+        rest, rank = rest[~front], rank + 1
 
     crowd = np.zeros(m, dtype=np.float64)
     for axis in range(2):

@@ -26,7 +26,7 @@ from ganens import (
 import ganens.metrics
 from ganens.metrics import factored_set, frechet_factored
 from ganens.objective import PairwiseMatrix, capped_plan, quotas_by_id
-from ganens.optimize import selection_manifest
+from ganens.optimize import ParetoFront, select_best, selection_manifest
 
 from conftest import make_pool, standardized_by_real
 
@@ -649,3 +649,43 @@ class TestObjectiveVector:
         assert higher.effective() == (0.8, 0.2)
         lower = ObjectiveVector(0.8, 0.2, 2, MetricConfig(kind="fid"))
         assert lower.effective() == (-0.8, -0.2)
+
+
+@pytest.fixture(scope="module")
+def fixture_evaluator(fixture_pool):
+    return EnsembleEvaluator(fixture_pool, MetricConfig(), seed=0)
+
+
+def _select_best(g, pool):
+    cfg = MetricConfig()
+    front = ParetoFront(((g, ObjectiveVector(0.5, 0.1, g.member_count, cfg)),), cfg.orientation)
+    return select_best(front, pool)
+
+
+class TestOneGate:
+    """Every path that names an ensemble's members rejects a genome of another length or
+    pool with ``_check_pool``'s words, whether it plans quotas or reads the matrix."""
+
+    PATHS = {
+        "evaluate": lambda g, pool, ev: ev.evaluate(g),
+        "intra_d": lambda g, pool, ev: intra_d(g, pool, MetricConfig(), seed=0),
+        "inter_d": lambda g, pool, ev: inter_d(g, ev.matrix),
+        "capped_plan": lambda g, pool, ev: capped_plan(g, pool, pool.real.rows),
+        "selection_manifest": lambda g, pool, ev: selection_manifest(
+            g, ObjectiveVector(0.5, 0.1, g.member_count, MetricConfig()), pool, 1
+        ),
+        "select_best": lambda g, pool, ev: _select_best(g, pool),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize(
+        "bits, foreign, words",
+        [((1, 0, 1, 0, 0, 0), True, "genome was built against a different pool"),
+         ((1, 0, 1, 0, 0), False, "genome length 5 does not match pool size 6"),
+         ((1, 0, 1, 0, 0, 0, 1), False, "genome length 7 does not match pool size 6")],
+        ids=["foreign-pool", "a-bit-short", "a-bit-long"],
+    )
+    def test_bad_genome_rejected(self, fixture_pool, fixture_evaluator, path, bits, foreign, words):
+        g = EnsembleGenome(bits, "deadbeef0000" if foreign else fixture_pool.ref)
+        with pytest.raises(ParameterError, match=f"^{re.escape(words)}$"):
+            self.PATHS[path](g, fixture_pool, fixture_evaluator)
