@@ -66,9 +66,12 @@ That is ``(2D + 7) u + (3D + 8) v + lambda <= (2D + 8) u`` times
 and a half times both terms, ``ERR = (3 D + 12) (u (|a|^2 + |b|^2) + 4 lambda)``;
 for D < 2^20 the margin covers the first-order approximation and the
 rounding of ERR itself. It splits ERR into a part per reference row and a
-part per candidate row, and bounds row i by its own part plus a bound on
-the other side's parts, so no N x M array of bounds is built; a looser
-bound only recomputes more entries.
+part per candidate row (``_slack``, the one place that holds ERR's
+coefficients), and bounds row i by its own part plus a bound on the other
+side's parts, so no N x M array of bounds is built; a looser bound only
+recomputes more entries. ``_rows`` builds either side's rows and
+``_estimate`` takes their product, for ``_ball_kernel`` and ``knn_radii``
+alike.
 
 - A ball test ``d <= r`` uses the guard band ``band = ERR + 8 u (sigma r)^2``:
   the entry is inside when ``s^ < (sigma r)^2 - band`` and outside when
@@ -106,18 +109,23 @@ Sure hits count where they lie (column sums of the inside masks, and a
 per-(ball, set) "any", or first-hit ranks for ``ball_hits`` alone), and the
 band entries of both orders are recomputed together, once.
 ``pairwise_density_coverage`` centres every set on the real set's mean in
-the frame, takes sigma from the largest norm of the whole pool, and stacks
-consecutive whole sets in chunks of at most ``_CHUNK_ENTRIES`` entries
-(rows times D + 2; a larger set is a chunk by itself), each built into rows
-and thresholds once, with the largest norm's part of ERR bounding every x
-row's. Each earlier set takes one kernel call per chunk, which builds x's
-thresholds; per-set sums of its outputs give both orders.
+the frame and stacks consecutive whole sets in chunks of at most
+``_CHUNK_ENTRIES`` entries (rows times D + 2; a larger set is a chunk by
+itself). Each chunk is framed once, and its framed rows give its sets'
+k-NN radii (a run of equal-size sets as one ``knn_radii`` stack), its rows
+and its thresholds. Its sigma comes from the largest squared norm of every
+set up to its last one, which covers every set it meets (x sets come from
+it or earlier chunks), and that norm's part of ERR bounds every x row's.
+Decisions are exact under any power-of-two sigma, so a chunk's sigma moves
+no output. Each earlier set takes one kernel call per chunk, which builds
+x's thresholds; per-set sums of its outputs give both orders.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
@@ -266,36 +274,35 @@ def _scale(peak: float) -> float:
     return 2.0 ** min(_MAX_SCALE_EXPONENT, (_TOP_EXPONENT - exponent) // 2)
 
 
-def _left_rows(
-    centred: tuple[np.ndarray, np.ndarray], scale: float
+def _slack(norms: np.ndarray, dim: int, left: bool) -> np.ndarray:
+    """Each row's part of ERR, in sigma^2 units, for rows of D = ``dim`` whose scaled
+    squared norms are ``norms``; the left side of the product carries the constant
+    term (module docstring)."""
+    coef = _ERR_PER_DIM * dim + _ERR_BASE
+    return norms * (coef * _UNIT_ROUNDOFF) + (coef * 4.0 * _SMALLEST_NORMAL if left else 0.0)
+
+
+def _rows(
+    centred: tuple[np.ndarray, np.ndarray], scale: float, left: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """float32 rows ``[sigma a, sigma^2 |a|^2, 1]`` of ``_centred``'s ``(a, |a|^2)``, sigma
-    being ``scale``, and each row's part of the error bound, in sigma^2 units."""
+    """float32 rows of ``_centred``'s ``(a, |a|^2)`` under sigma ``scale``, and their
+    ``_slack``: ``[sigma a, sigma^2 |a|^2, 1]`` on the ``left`` of the product, else
+    ``[-2 sigma a, 1, sigma^2 |a|^2]``."""
     a, norms = centred
     dim = a.shape[-1]
-    left = np.empty(a.shape[:-1] + (dim + 2,), dtype=np.float32)
-    np.multiply(a, scale, out=left[..., :dim])
+    rows = np.empty(a.shape[:-1] + (dim + 2,), dtype=np.float32)
+    np.multiply(a, scale if left else -2.0 * scale, out=rows[..., :dim])
     norms = norms * (scale * scale)
-    left[..., dim] = norms
-    left[..., dim + 1] = 1.0
-    coef = _ERR_PER_DIM * dim + _ERR_BASE
-    return left, norms * (coef * _UNIT_ROUNDOFF) + coef * 4.0 * _SMALLEST_NORMAL
+    rows[..., dim + (not left)] = norms
+    rows[..., dim + left] = 1.0
+    return rows, _slack(norms, dim, left)
 
 
-def _right_rows(
-    centred: tuple[np.ndarray, np.ndarray], scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """float32 rows ``[-2 sigma b, 1, sigma^2 |b|^2]`` of ``_centred``'s ``(b, |b|^2)``, sigma
-    being ``scale``, and each row's part of the error bound, in sigma^2 units."""
-    b, norms = centred
-    dim = b.shape[-1]
-    right = np.empty(b.shape[:-1] + (dim + 2,), dtype=np.float32)
-    np.multiply(b, -2.0 * scale, out=right[..., :dim])
-    norms = norms * (scale * scale)
-    right[..., dim] = 1.0
-    right[..., dim + 1] = norms
-    coef = _ERR_PER_DIM * dim + _ERR_BASE
-    return right, norms * (coef * _UNIT_ROUNDOFF)
+def _estimate(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The float32 estimates of every ``left`` row against every ``right`` row (``_rows``),
+    of one block or of a stack of blocks, in one product."""
+    with np.errstate(invalid="ignore"):  # a NaN entry falls in the band
+        return np.matmul(left, np.swapaxes(right, -1, -2), out=out)
 
 
 def _outward(value: np.ndarray, down: bool) -> np.ndarray:
@@ -358,8 +365,8 @@ def _ball_kernel(
     counts the x rows inside y's ball j. Without ``ranks`` a hit reads the set's length
     less one in ``first``: below the length, all that coverage needs.
 
-    ``x_rows`` and ``y_rows`` are ``_left_rows`` of x and ``_right_rows`` of y on one
-    centre and sigma ``scale``; a caller builds y's rows and thresholds once for
+    ``x_rows`` and ``y_rows`` are the left ``_rows`` of x and the right ``_rows`` of y on
+    one centre and sigma ``scale``; a caller builds y's rows and thresholds once for
     every x it meets. Each block of x rows, as many as the float32 ``buffer`` holds
     (at least one), is estimated into it and decided into ``masks``.
     """
@@ -377,9 +384,7 @@ def _ball_kernel(
     step = buffer.size // m
     for start in range(0, x.shape[0], step):
         block = slice(start, start + step)
-        out = buffer[: len(left[block]) * m].reshape(-1, m)
-        with np.errstate(invalid="ignore"):  # a NaN entry falls in the band
-            estimate = np.matmul(left[block], right.T, out=out)
+        estimate = _estimate(left[block], right, buffer[: len(left[block]) * m].reshape(-1, m))
         sides = [tuple(t[block, None] for t in x_side)] + ([] if y_side is None else [y_side])
         inside = _block_inside(x, y, start, estimate, sides, masks)
         # uint8 sums of at most 255 rows are several times faster than wider sums.
@@ -444,8 +449,8 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
     points = stack.reshape(sets * n, dim)
     centred = _centred(stack, stack.mean(axis=1, keepdims=True))
     scale = _scale(centred[1].max(initial=0.0))
-    left, slack_rows = _left_rows(centred, scale)
-    right, slack_cols = _right_rows(centred, scale)
+    left, slack_rows = _rows(centred, scale, left=True)
+    right, slack_cols = _rows(centred, scale, left=False)
     del centred
     # Within row i every entry errs by at most slack_i.
     slack = slack_rows + slack_cols.max(axis=1, keepdims=True)
@@ -457,10 +462,7 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
         block_sets = slice(lo, lo + group)
         for start in range(0, n, step):
             block_rows = slice(start, start + step)
-            with np.errstate(invalid="ignore"):  # a NaN entry falls in the band
-                estimate = np.matmul(
-                    left[block_sets, block_rows], right[block_sets].transpose(0, 2, 1)
-                )
+            estimate = _estimate(left[block_sets, block_rows], right[block_sets])
             kth[block_sets, block_rows] = _kth_exact(
                 points, estimate, slack[block_sets, block_rows], k, lo * n, start
             )
@@ -510,37 +512,35 @@ def pairwise_density_coverage(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matrices whose entry (i, j) is ``density_coverage(x_i, x_j, k)``, and 0 where i = j.
 
-    x_i is ``to_frame(sets[i])`` (``real_frame`` gives the map); every
-    estimate row is centred on ``centre`` and scaled by one sigma, taken
-    from the largest squared norm about ``centre`` in the whole pool, and
-    each chunk's rows and thresholds are built once (module docstring).
+    x_i is ``to_frame(sets[i])`` (``real_frame`` gives the map), and every
+    estimate row is centred on ``centre``. Each chunk is framed once, which
+    gives its sets' k-NN radii, its rows and thresholds, and the largest
+    squared norm about ``centre`` up to its last set: sigma and the x-side
+    part of y's bound come from that running peak, which covers every x set
+    the chunk meets (module docstring).
     """
     parts = [s.data if isinstance(s, EmbeddingSet) else np.asarray(s) for s in sets]
-    n, rows, width = len(parts), np.array([part.shape[0] for part in parts]), parts[0].shape[1] + 2
-    radii, peak = [], 0.0
-    while len(radii) < n:
-        # A run of equal-size sets goes to knn_radii as stacks of at most one of
-        # its blocks, which also bounds the stack's framed copy.
-        lo = len(radii)
-        cap = lo + max(1, (_BLOCK_ENTRIES // 4) // (rows[lo] * max(rows[lo], width)))
-        hi = lo + 1
-        while hi < min(n, cap) and rows[hi] == rows[lo]:
-            hi += 1
-        framed = to_frame(np.stack(parts[lo:hi]))
-        radii.extend(knn_radii(framed, k).radii)
-        peak = max(peak, float(_centred(framed, centre)[1].max()))
-        del framed
-    scale = _scale(peak)
-    # No x row's part of the bound exceeds that of a row with the pool's largest norm.
-    slack_x = _left_rows((np.zeros(width - 2), np.float64(peak)), scale)[1]
+    n, rows, dim = len(parts), np.array([part.shape[0] for part in parts]), parts[0].shape[1]
     hits, covered = np.zeros((2, n, n), dtype=np.int64)
-    chunks = list(_chunks(rows.tolist(), width))
+    chunks = list(_chunks(rows.tolist(), dim + 2))
     size = max(_BLOCK_ENTRIES, *(rows[lo:hi].sum() for lo, hi in chunks))
     # One of each per matrix.
     buffer, masks = np.empty(size, dtype=np.float32), np.empty((4, size), dtype=bool)
+    radii, peak = [], 0.0
     for lo, hi in chunks:
         y = to_frame(np.concatenate(parts[lo:hi]) if hi - lo > 1 else parts[lo])
-        right, slack_y = _right_rows(_centred(y, centre), scale)
+        start = 0
+        for length, run in groupby(rows[lo:hi].tolist()):  # a run of equal-size sets, one stack
+            stop = start + length * len(list(run))
+            radii.extend(knn_radii(y[start:stop].reshape(-1, length, dim), k).radii)
+            start = stop
+        centred = _centred(y, centre)
+        peak = max(peak, float(centred[1].max()))
+        scale = _scale(peak)
+        right, slack_y = _rows(centred, scale, left=False)
+        del centred
+        # No x row's part of the bound exceeds that of a row of norm peak.
+        slack_x = _slack(peak * (scale * scale), dim, left=True)
         y_side = _thresholds(np.concatenate(radii[lo:hi]), slack_y + slack_x, scale)
         for i in range(hi - 1):
             # Set i against the sets after it: the balls of each side, in one estimate.
@@ -548,7 +548,7 @@ def pairwise_density_coverage(
             skip, lengths = rows[lo:later].sum(), rows[later:hi]
             x = to_frame(parts[i])
             (counts, back), first = _ball_kernel(
-                x, y[skip:], _left_rows(_centred(x, centre), scale),
+                x, y[skip:], _rows(_centred(x, centre), scale, left=True),
                 (right[skip:], slack_y[skip:]), scale, radii[i], lengths, buffer, masks,
                 tuple(t[skip:] for t in y_side),
             )
@@ -601,7 +601,7 @@ def ball_hits(
     size, centre = max(_BLOCK_ENTRIES // 4, m), ref.mean(axis=0)
     x_rows, y_rows = _centred(ref, centre), _centred(cand, centre)
     scale = _scale(max(x_rows[1].max(), y_rows[1].max()))
-    x_rows, y_rows = _left_rows(x_rows, scale), _right_rows(y_rows, scale)
+    x_rows, y_rows = _rows(x_rows, scale, left=True), _rows(y_rows, scale, left=False)
     (counts,), first = _ball_kernel(
         ref, cand, x_rows, y_rows, scale, radius, lengths,
         np.empty(size, dtype=np.float32), np.empty((2, size), dtype=bool), ranks=True,

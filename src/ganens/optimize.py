@@ -419,19 +419,3 @@ def select_best(
     genome, objectives = min(front.entries, key=_selection_key)
     return selection_manifest(genome, objectives, pool, len(front.entries), total)
 
-
-def uniobjective_search(
-    pool: Pool,
-    evaluator,
-    cfg: SearchConfig,
-    total: int | None = None,
-) -> SelectionManifest:
-    """Ablation: same candidate generation, selection by delta alone.
-
-    The overlap objective is ignored at selection time; the argmax is taken
-    over every evaluated genome, with the same member-count tie-breaking as
-    the multi-objective rule.
-    """
-    result = search(pool, evaluator, cfg)
-    genome, objectives = min(result.evaluations, key=_selection_key)
-    return selection_manifest(genome, objectives, pool, len(result.front.entries), total)

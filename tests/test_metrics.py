@@ -32,8 +32,7 @@ from ganens.metrics import (
     _centred,
     _exact_squared,
     _kth_exact,
-    _left_rows,
-    _right_rows,
+    _rows,
     _scale,
     _thresholds,
     factored_set,
@@ -541,8 +540,8 @@ class TestReferenceEquality:
         centre = x.mean(axis=0)
         (_, norms_x), (_, norms_y) = _centred(x, centre), _centred(y, centre)
         sigma = _scale(max(norms_x.max(), norms_y.max()))
-        slack_x = _left_rows(_centred(x, centre), sigma)[1]
-        slack_y = _right_rows(_centred(y, centre), sigma)[1]
+        slack_x = _rows(_centred(x, centre), sigma, left=True)[1]
+        slack_y = _rows(_centred(y, centre), sigma, left=False)[1]
         distances = pairwise_distances(x, y)
         radius_x = reference_radii(x, 1 + k_draw % (len(x) - 1))[:, None]
         radius_y = reference_radii(y, 1 + k_draw % (len(y) - 1))
@@ -556,8 +555,8 @@ class TestReferenceEquality:
         # k-NN radii of x, on x's own mean and sigma, as knn_radii takes them.
         k = 1 + k_draw % (len(x) - 1)
         sigma = _scale(norms_x.max())
-        slack = _left_rows(_centred(x, centre), sigma)[1]
-        slack += _right_rows(_centred(x, centre), sigma)[1].max()
+        slack = _rows(_centred(x, centre), sigma, left=True)[1]
+        slack += _rows(_centred(x, centre), sigma, left=False)[1].max()
         estimate = planted(x, x, sigma, rng.choice([-1.0, 1.0], (len(x), len(x))))
         kth = _kth_exact(x, estimate[None], slack[None], k, 0, 0)
         assert np.array_equal(np.sqrt(kth[0]), reference_radii(x, k))

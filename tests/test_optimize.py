@@ -17,7 +17,6 @@ from ganens import (
     extract_front,
     search,
     select_best,
-    uniobjective_search,
 )
 from ganens.optimize import (
     _bits_from_mask,
@@ -480,35 +479,3 @@ class TestSelectBest:
 
         with pytest.raises(ParameterError):
             select_best(ParetoFront(entries=(), orientation=Orientation.HIGHER_IS_BETTER), pool)
-
-
-class TestUniObjective:
-    def test_single_generator_pool_matches_multi(self):
-        rng = np.random.default_rng(8)
-        real = rng.normal(size=(24, 3))
-        pool = make_pool({"only": real + 0.05}, real)
-        evaluator = EnsembleEvaluator(pool, MetricConfig(k=2), seed=0)
-        cfg = SearchConfig(algorithm="exhaustive", seed=0)
-        multi = select_best(search(pool, evaluator, cfg).front, pool)
-        uni = uniobjective_search(pool, evaluator, cfg)
-        assert multi.chosen == uni.chosen == ("only",)
-
-    def test_deterministic(self):
-        pool = small_pool(generators=5)
-        cfg = SearchConfig(algorithm="nsga2", budget=30, population=8, seed=4)
-        runs = [
-            uniobjective_search(pool, EnsembleEvaluator(pool, MetricConfig(k=2), seed=0), cfg)
-            for _ in range(2)
-        ]
-        assert runs[0].chosen == runs[1].chosen
-
-    def test_delta_at_least_front_max(self):
-        pool = small_pool(generators=6)
-        evaluator = EnsembleEvaluator(pool, MetricConfig(k=2), seed=0)
-        cfg = SearchConfig(algorithm="exhaustive", seed=0)
-        result = search(pool, evaluator, cfg)
-        multi = select_best(result.front, pool)
-        uni = uniobjective_search(pool, evaluator, cfg)
-        assert uni.objectives.effective()[0] == pytest.approx(
-            multi.objectives.effective()[0]
-        )
