@@ -66,10 +66,10 @@ That is ``(2D + 7) u + (3D + 8) v + lambda <= (2D + 8) u`` times
 and a half times both terms, ``ERR = (3 D + 12) (u (|a|^2 + |b|^2) + 4 lambda)``;
 for D < 2^20 the margin covers the first-order approximation and the
 rounding of ERR itself. It splits ERR into a part per reference row and a
-part per candidate row (``_slack``, the one place that holds ERR's
-coefficients), and bounds row i by its own part plus a bound on the other
-side's parts, so no N x M array of bounds is built; a looser bound only
-recomputes more entries. ``_rows`` builds either side's rows and
+part per candidate row, and bounds row i by its own part plus a bound on
+the other side's parts, so no N x M array of bounds is built; a looser
+bound only recomputes more entries. ``_rows`` builds either side's rows
+and their parts (the one place that holds ERR's coefficients), and
 ``_estimate`` takes their product, for ``_ball_kernel`` and ``knn_radii``
 alike.
 
@@ -112,13 +112,13 @@ band entries of both orders are recomputed together, once.
 the frame and stacks consecutive whole sets in chunks of at most
 ``_CHUNK_ENTRIES`` entries (rows times D + 2; a larger set is a chunk by
 itself). Each chunk is framed once, and its framed rows give its sets'
-k-NN radii (a run of equal-size sets as one ``knn_radii`` stack), its rows
-and its thresholds. Its sigma comes from the largest squared norm of every
-set up to its last one, which covers every set it meets (x sets come from
-it or earlier chunks), and that norm's part of ERR bounds every x row's.
-Decisions are exact under any power-of-two sigma, so a chunk's sigma moves
-no output. Each earlier set takes one kernel call per chunk, which builds
-x's thresholds; per-set sums of its outputs give both orders.
+k-NN radii (a run of equal-size sets as one ``knn_radii`` stack) and its
+rows. Its sigma comes from the largest squared norm of every set up to its
+last one, which covers every set it meets (x sets come from it or earlier
+chunks). Decisions are exact under any power-of-two sigma, so a chunk's
+sigma moves no output. Each earlier set takes one kernel call per chunk,
+which bounds each side's balls by the rows of the other side that it meets;
+per-set sums of its outputs give both orders.
 """
 from __future__ import annotations
 
@@ -274,20 +274,13 @@ def _scale(peak: float) -> float:
     return 2.0 ** min(_MAX_SCALE_EXPONENT, (_TOP_EXPONENT - exponent) // 2)
 
 
-def _slack(norms: np.ndarray, dim: int, left: bool) -> np.ndarray:
-    """Each row's part of ERR, in sigma^2 units, for rows of D = ``dim`` whose scaled
-    squared norms are ``norms``; the left side of the product carries the constant
-    term (module docstring)."""
-    coef = _ERR_PER_DIM * dim + _ERR_BASE
-    return norms * (coef * _UNIT_ROUNDOFF) + (coef * 4.0 * _SMALLEST_NORMAL if left else 0.0)
-
-
 def _rows(
     centred: tuple[np.ndarray, np.ndarray], scale: float, left: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """float32 rows of ``_centred``'s ``(a, |a|^2)`` under sigma ``scale``, and their
-    ``_slack``: ``[sigma a, sigma^2 |a|^2, 1]`` on the ``left`` of the product, else
-    ``[-2 sigma a, 1, sigma^2 |a|^2]``."""
+    """float32 rows of ``_centred``'s ``(a, |a|^2)`` under sigma ``scale``, and each row's
+    part of ERR in sigma^2 units: ``[sigma a, sigma^2 |a|^2, 1]`` on the ``left`` of the
+    product, whose part carries ERR's constant term, else ``[-2 sigma a, 1, sigma^2 |a|^2]``
+    (module docstring)."""
     a, norms = centred
     dim = a.shape[-1]
     rows = np.empty(a.shape[:-1] + (dim + 2,), dtype=np.float32)
@@ -295,7 +288,8 @@ def _rows(
     norms = norms * (scale * scale)
     rows[..., dim + (not left)] = norms
     rows[..., dim + left] = 1.0
-    return rows, _slack(norms, dim, left)
+    coef = _ERR_PER_DIM * dim + _ERR_BASE
+    return rows, norms * (coef * _UNIT_ROUNDOFF) + (coef * 4.0 * _SMALLEST_NORMAL if left else 0.0)
 
 
 def _estimate(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -357,25 +351,26 @@ def _ball_kernel(
     x: np.ndarray, y: np.ndarray, x_rows: tuple[np.ndarray, np.ndarray],
     y_rows: tuple[np.ndarray, np.ndarray], scale: float, radius: np.ndarray,
     lengths: np.ndarray, buffer: np.ndarray, masks: np.ndarray,
-    y_side: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None, ranks: bool = False,
+    y_radius: np.ndarray | None = None, ranks: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(sums, first)`` of x's balls of ``radius`` on the consecutive sets of ``lengths``
     rows in y: ``sums[0][j]`` counts x's balls holding y row j, ``first`` is
-    ``ball_hits``', and with ``y_side`` (``_thresholds`` of y's balls) ``sums[1][j]``
-    counts the x rows inside y's ball j. Without ``ranks`` a hit reads the set's length
-    less one in ``first``: below the length, all that coverage needs.
+    ``ball_hits``', and with ``y_radius`` (y's balls) ``sums[1][j]`` counts the x rows
+    inside y's ball j. Without ``ranks`` a hit reads the set's length less one in
+    ``first``: below the length, all that coverage needs.
 
     ``x_rows`` and ``y_rows`` are the left ``_rows`` of x and the right ``_rows`` of y on
-    one centre and sigma ``scale``; a caller builds y's rows and thresholds once for
-    every x it meets. Each block of x rows, as many as the float32 ``buffer`` holds
-    (at least one), is estimated into it and decided into ``masks``.
+    one centre and sigma ``scale``; a caller builds y's rows once for every x it meets.
+    Each block of x rows, as many as the float32 ``buffer`` holds (at least one), is
+    estimated into it and decided into ``masks``.
     """
     left, slack_x = x_rows
     right, slack_y = y_rows
     m = y.shape[0]
     offsets = np.cumsum(lengths) - lengths
-    # Slacks over all rows or columns still bound every entry of a block.
+    # A slack over all of the other side's rows still bounds every entry of a block.
     x_side = _thresholds(radius, slack_x + slack_y.max(), scale)
+    y_side = None if y_radius is None else _thresholds(y_radius, slack_y + slack_x.max(), scale)
     sums = np.zeros((1 if y_side is None else 2, m), dtype=np.int64)
     first = np.empty((lengths.size, x.shape[0]), dtype=np.int64)
     # Each column's rank counted back from its set's end: a ball's largest over its hits
@@ -489,17 +484,14 @@ def density_coverage(
     reference: EmbeddingSet | np.ndarray,
     candidate: EmbeddingSet | np.ndarray,
     k: int,
-    radii: RadiusProfile | None = None,
 ) -> tuple[float, float]:
     """Density and coverage of the candidate set against the reference manifold.
 
     Density is the expected number of reference k-NN balls containing a
     candidate point, divided by k; it can exceed 1. Coverage is the fraction
     of reference points whose ball contains at least one candidate point.
-    Pass a precomputed ``radii`` profile to skip the within-reference k-NN
-    pass when evaluating many candidates against one reference.
     """
-    counts, first = ball_hits(reference, candidate, k, radii)
+    counts, first = ball_hits(reference, candidate, k)
     m, n = counts.shape[0], first.shape[0]
     return int(counts.sum()) / (k * m), int(np.count_nonzero(first < m)) / n
 
@@ -514,10 +506,9 @@ def pairwise_density_coverage(
 
     x_i is ``to_frame(sets[i])`` (``real_frame`` gives the map), and every
     estimate row is centred on ``centre``. Each chunk is framed once, which
-    gives its sets' k-NN radii, its rows and thresholds, and the largest
-    squared norm about ``centre`` up to its last set: sigma and the x-side
-    part of y's bound come from that running peak, which covers every x set
-    the chunk meets (module docstring).
+    gives its sets' k-NN radii, its rows, and the largest squared norm about
+    ``centre`` up to its last set: sigma comes from that running peak, which
+    covers every x set the chunk meets (module docstring).
     """
     parts = [s.data if isinstance(s, EmbeddingSet) else np.asarray(s) for s in sets]
     n, rows, dim = len(parts), np.array([part.shape[0] for part in parts]), parts[0].shape[1]
@@ -539,9 +530,6 @@ def pairwise_density_coverage(
         scale = _scale(peak)
         right, slack_y = _rows(centred, scale, left=False)
         del centred
-        # No x row's part of the bound exceeds that of a row of norm peak.
-        slack_x = _slack(peak * (scale * scale), dim, left=True)
-        y_side = _thresholds(np.concatenate(radii[lo:hi]), slack_y + slack_x, scale)
         for i in range(hi - 1):
             # Set i against the sets after it: the balls of each side, in one estimate.
             later = max(lo, i + 1)
@@ -550,7 +538,7 @@ def pairwise_density_coverage(
             (counts, back), first = _ball_kernel(
                 x, y[skip:], _rows(_centred(x, centre), scale, left=True),
                 (right[skip:], slack_y[skip:]), scale, radii[i], lengths, buffer, masks,
-                tuple(t[skip:] for t in y_side),
+                np.concatenate(radii[later:hi]),
             )
             offsets = np.cumsum(lengths) - lengths
             hits[i, later:hi] = np.add.reduceat(counts, offsets)

@@ -9,27 +9,27 @@ selected generators' sets, read from a precomputed symmetric matrix.
 
 Every row sample of a generator g is a prefix of one fixed permutation of
 its rows, seeded by (seed, g's id): ``subsample_rows`` returns the first
-rows of that draw order, and ``build_union``, ``pairwise_matrix`` and the
-quality report all sample through it, so a union share, a pairwise
-subsample and a quality row of the same size hold the same rows. For
-density and coverage the evaluator therefore runs the real set's closed
-k-NN balls over each generator's rows once, in permutation order, and
-keeps two integer arrays per generator: ``prefix[t]``, the number of
-(ball, row) hits among the first t rows, and ``first[i]``, the rank of the
-first row inside real ball i (the row count if none is). A union then has
+rows of that draw order, and ``build_union`` and ``pairwise_matrix`` sample
+through it. ``UnionScore``, the one Intra-d scorer, which the evaluator and
+the quality report share, scores a union from per-generator state built
+once. For density and coverage it runs the real set's closed k-NN balls
+over each generator's rows once, in draw order, and keeps two integer
+arrays per generator: ``prefix[t]``, the number of (ball, row) hits among
+the first t rows, and ``first[i]``, the rank of the first row inside real
+ball i (the row count if none is). A union then has
 ``sum(prefix_g[take_g])`` hits over ``sum(take_g)`` rows and covers ball i
 iff ``first_g[i] < take_g`` for some member g. Ball decisions are exact and
-counts are integers, so this equals ``intra_d`` of the built union bit for
-bit, whatever the row order inside the union.
+counts are integers, so this equals ``density_coverage`` of the built union
+bit for bit, whatever the row order inside the union.
 
 An evaluation is array work. ``capped_plan``, the one quota rule, is the
 gate from a genome to its pool (``inter_d`` checks against the matrix): it
 gives the members as an index array m, which Intra-d and Inter-d share,
 and quotas from one ``divmod(total, n)``, capped at the pool's row counts.
-The manifest, the quality report and ``intra_d`` key the same plan by id
-(``quotas_by_id``). Inter-d is one block mean over ``V[m][:, m]``, for
-the evaluator and ``inter_d`` alike. ``intra_d``, ``inter_d`` and
-``build_union`` stay as the reference.
+The manifest and ``intra_d`` key the same plan by id (``quotas_by_id``),
+and ``union_plan`` reads such quotas back as a plan. Inter-d is one block
+mean over ``V[m][:, m]``, for the evaluator and ``inter_d`` alike.
+``intra_d``, ``inter_d`` and ``build_union`` stay as the reference.
 """
 from __future__ import annotations
 
@@ -260,24 +260,30 @@ def subsample_rows(dataset: EmbeddingSet, size: int, seed: int, tag: str) -> Emb
     return EmbeddingSet(rows, source_id=f"{dataset.source_id}[{size}]")
 
 
+def union_plan(quotas: dict[str, int], pool: Pool) -> tuple[np.ndarray, np.ndarray]:
+    """The plan of ``quotas``: the generators it names, in canonical order, and their counts,
+    each between 1 and g's row count. ``capped_plan`` gives the counts of a genome."""
+    if not quotas or not set(quotas) <= set(pool.ids):
+        raise ParameterError(f"union quotas must name generators of the pool, got {sorted(quotas)}")
+    members = [g for g, gid in enumerate(pool.ids) if gid in quotas]
+    for g in members:
+        take, rows = quotas[pool.ids[g]], int(pool.rows[g])
+        if not 1 <= take <= rows:
+            raise ParameterError(f"quota {take} of '{pool.ids[g]}' is not in 1..{rows}")
+    return np.array(members), np.array([quotas[pool.ids[g]] for g in members], dtype=np.int64)
+
+
 def build_union(quotas: dict[str, int], pool: Pool, seed: int) -> EmbeddingSet:
     """The union of ``quotas[g]`` rows of each generator g that ``quotas`` names.
 
     Each share is ``subsample_rows`` of g, seeded by (seed, g's id), and the
-    shares are concatenated in canonical order, so the union holds exactly
-    ``sum(quotas.values())`` rows. A count must lie between 1 and g's row
-    count; ``capped_plan`` gives the counts of a genome.
+    shares are concatenated in canonical order (``union_plan``), so the union
+    holds exactly ``sum(quotas.values())`` rows.
     """
-    if not quotas or not set(quotas) <= set(pool.ids):
-        raise ParameterError(f"union quotas must name generators of the pool, got {sorted(quotas)}")
-    parts = []
-    for record, dataset in pool.members:
-        take = quotas.get(record.id)
-        if take is None:
-            continue
-        if not 1 <= take <= dataset.rows:
-            raise ParameterError(f"quota {take} of '{record.id}' is not in 1..{dataset.rows}")
-        parts.append(subsample_rows(dataset, take, seed, record.id).data)
+    parts = [
+        subsample_rows(pool.members[g][1], take, seed, pool.ids[g]).data
+        for g, take in zip(*(a.tolist() for a in union_plan(quotas, pool)))
+    ]
     return EmbeddingSet(np.concatenate(parts, axis=0), source_id=f"union({'+'.join(quotas)})")
 
 
@@ -402,27 +408,57 @@ def _ball_tables(pool: Pool, to_frame, k: int, seed: int) -> tuple[np.ndarray, n
     return prefix, first
 
 
+class UnionScore:
+    """Intra-d's genome-independent state for one (pool, metric, seed), and its two scores.
+
+    A plan ``(members, takes)`` is a union: members in canonical order, each
+    giving the first ``take`` rows of its draw order. Rows go into the real
+    set's frame (``real_frame``), as ``metric_d`` puts a union there. For dnc
+    the scorer holds the ball tables (module docstring), so
+    ``density_coverage`` of a plan is integer work; for fid, the real set's
+    ``FactoredSet`` and each generator's draw order, so ``frechet`` gathers
+    the union's rows and projects them by the real factor once. The scores
+    equal ``metrics.density_coverage`` and ``frechet_factored`` of
+    ``build_union``'s union of the plan bit for bit.
+    """
+
+    def __init__(self, pool: Pool, cfg: MetricConfig, seed: int) -> None:
+        self.pool, self.k = pool, cfg.k
+        self._to_frame = real_frame(pool.real, cfg.standardize)
+        if cfg.kind is MetricKind.DENSITY_COVERAGE:
+            require_neighbours(pool.real.rows, cfg.k, "the real set", "lower --k")
+            self._prefix, self._first = _ball_tables(pool, self._to_frame, cfg.k, seed)
+        else:
+            self._orders = [_draw_order(es, seed, record.id) for record, es in pool.members]
+            self._real = factored_set(pool.real, self._to_frame)
+
+    def density_coverage(self, members: np.ndarray, takes: np.ndarray) -> tuple[float, float]:
+        """Density and coverage of the plan's union against the real set."""
+        hits = int(self._prefix[members, takes].sum())
+        inside = self._first.take(members, axis=0) < takes.astype(self._first.dtype)[:, None]
+        covered = int(np.count_nonzero(np.logical_or.reduce(inside, axis=0)))
+        return hits / (self.k * int(takes.sum())), covered / self._first.shape[1]
+
+    def frechet(self, members: np.ndarray, takes: np.ndarray) -> float:
+        """The Frechet distance between the real set and the plan's union."""
+        # Gathered straight into float64, which float32 rows convert to exactly.
+        union = np.concatenate([
+            _prefix_rows(self.pool.members[g][1].data, self._orders[g], take)
+            for g, take in zip(members.tolist(), takes.tolist())
+        ], dtype=np.float64)
+        return frechet_factored(self._real, self._to_frame(union))
+
+
 class EnsembleEvaluator:
     """Objective evaluator bound to one (pool, metric, seed, total) set.
 
     Everything that does not depend on the genome is computed once, at
-    construction. The real set and every generator's rows go into the real
-    set's frame (``real_frame``), as ``metric_d`` puts a union there. For
-    density and coverage the real set's k-NN radii are computed once, and
-    the generators' rows run through its balls in draw order, many
-    generators to one ``ball_hits`` call, to give the prefix counts and
-    first-hit ranks the module docstring describes. For the Frechet kind
-    the real set is kept as a ``FactoredSet`` (its mean, trace and
-    covariance factor), with each generator's draw order, and an evaluation
-    gathers the union's rows from the pool's own arrays and calls
-    ``frechet_factored``, as ``metric_d`` does: it projects the union's
-    centred rows by the real factor once and takes one ``eigvalsh``, with no
-    summary of the union. The pairwise matrix is built last, as ``matrix``.
-
-    An evaluation takes ``capped_plan``'s gate and member index array, shared
-    by both objectives (module docstring): Inter-d is ``inter_d``'s block
-    mean, and dnc Intra-d is integer work, independent of the dimension.
-    Either way Intra-d and Inter-d equal ``intra_d`` and ``inter_d`` bit for bit.
+    construction: Intra-d's ``UnionScore``, then the pairwise matrix, as
+    ``matrix``. An evaluation takes ``capped_plan``'s gate and member index
+    array, shared by both objectives (module docstring): Intra-d is the
+    scorer's ``harmonic_d`` of density and coverage, or its ``frechet``, of
+    that plan, and Inter-d is ``inter_d``'s block mean. Either way Intra-d
+    and Inter-d equal ``intra_d`` and ``inter_d`` bit for bit.
     """
 
     def __init__(
@@ -439,33 +475,17 @@ class EnsembleEvaluator:
         self.total = pool.real.rows if total is None else int(total)
         if self.total < 1:
             raise ParameterError(f"union total must be >= 1, got {self.total}")
-        self._to_frame = real_frame(pool.real, self.cfg.standardize)
-        if self.cfg.kind is MetricKind.DENSITY_COVERAGE:
-            require_neighbours(pool.real.rows, self.cfg.k, "the real set", "lower --k")
-            self._prefix, self._first = _ball_tables(pool, self._to_frame, self.cfg.k, self.seed)
-        else:
-            self._orders = [_draw_order(es, self.seed, record.id) for record, es in pool.members]
-            self._real = factored_set(pool.real, self._to_frame)
+        self._score = UnionScore(pool, self.cfg, self.seed)
         self.matrix = pairwise_matrix(pool, self.cfg, sample_per_generator, self.seed)
-
-    def _intra(self, members: np.ndarray, takes: np.ndarray) -> float:
-        if self.cfg.kind is MetricKind.FRECHET:
-            # Gathered straight into float64, which float32 rows convert to exactly.
-            union = np.concatenate([
-                _prefix_rows(self.pool.members[g][1].data, self._orders[g], take)
-                for g, take in zip(members.tolist(), takes.tolist())
-            ], dtype=np.float64)
-            return frechet_factored(self._real, self._to_frame(union))
-        hits = int(self._prefix[members, takes].sum())
-        inside = self._first.take(members, axis=0) < takes.astype(self._first.dtype)[:, None]
-        covered = int(np.count_nonzero(np.logical_or.reduce(inside, axis=0)))
-        dns = hits / (self.cfg.k * int(takes.sum()))
-        return harmonic_d(dns, covered / self._first.shape[1])
 
     def evaluate(self, genome: EnsembleGenome) -> ObjectiveVector:
         members, takes = capped_plan(genome, self.pool, self.total)
+        if self.cfg.kind is MetricKind.FRECHET:
+            intra = self._score.frechet(members, takes)
+        else:
+            intra = harmonic_d(*self._score.density_coverage(members, takes))
         return ObjectiveVector(
-            intra=float(self._intra(members, takes)),
+            intra=float(intra),
             inter=_block_mean(self.matrix.values, members),
             member_count=members.size,
             metric=self.cfg,

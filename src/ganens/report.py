@@ -7,15 +7,8 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .errors import ParameterError
-from .metrics import density_coverage, factored_set, frechet_factored, knn_radii
-from .objective import (
-    EnsembleGenome,
-    build_union,
-    capped_plan,
-    quotas_by_id,
-    require_neighbours,
-    subsample_rows,
-)
+from .metrics import MetricConfig, MetricKind
+from .objective import EnsembleGenome, UnionScore, capped_plan, union_plan
 from .store import Pool
 
 
@@ -90,28 +83,26 @@ def quality_rows(
 ) -> list[QualityRow]:
     """FID, density, and coverage against the real set, one row per label.
 
-    Rows cover each generator (subsampled to at most the real-set size for
-    comparability, so the row equals its singleton union at that size), then
-    the union of ``union[g]`` rows of each generator g it names, then (with
-    ``include_all``) the ``capped_plan`` union of every generator at the
-    real-set size or one row per generator, whichever is larger.
+    Every row scores a plan ``(members, takes)`` with one ``UnionScore`` of
+    each kind, the evaluator's scorer: each generator at its row count or
+    the real-set size, whichever is smaller (so the row is its singleton
+    union at that size), then ``union_plan`` of ``union``, the rows of each
+    generator it names, then (with ``include_all``) the ``capped_plan`` union
+    of every generator at the real-set size or one row per generator,
+    whichever is larger.
     """
-    drawn = None if union is None else build_union(union, pool, seed)  # checked before scoring
-    require_neighbours(pool.real.rows, k, "the real set", "lower --k")
-    radii = knn_radii(pool.real, k)
-    real = factored_set(pool.real)
+    drawn = None if union is None else union_plan(union, pool)  # checked before scoring
+    dnc = UnionScore(pool, MetricConfig(k=k), seed)
+    fid = UnionScore(pool, MetricConfig(MetricKind.FRECHET), seed)
 
-    def row(label, candidate) -> QualityRow:
-        dns, cvg = density_coverage(pool.real, candidate, k, radii)
-        fid = frechet_factored(real, candidate)
-        return QualityRow(label=label, fid=fid, density=dns, coverage=cvg)
+    def row(label, plan) -> QualityRow:
+        return QualityRow(label, fid.frechet(*plan), *dnc.density_coverage(*plan))
 
-    rows = []
-    for record, dataset in pool.members:
-        rows.append(row(record.id, subsample_rows(dataset, pool.real.rows, seed, record.id)))
+    takes = np.minimum(pool.rows, pool.real.rows)
+    rows = [row(gid, (np.array([g]), takes[g : g + 1])) for g, gid in enumerate(pool.ids)]
     if drawn is not None:
         rows.append(row("union", drawn))
     if include_all:
         plan = capped_plan(EnsembleGenome((1,) * pool.size), pool, max(pool.real.rows, pool.size))
-        rows.append(row("all", build_union(quotas_by_id(plan, pool), pool, seed)))
+        rows.append(row("all", plan))
     return rows

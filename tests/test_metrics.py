@@ -37,6 +37,7 @@ from ganens.metrics import (
     _thresholds,
     factored_set,
     frechet_factored,
+    pairwise_density_coverage,
     real_frame,
 )
 
@@ -133,14 +134,15 @@ class TestDensityCoverage:
             shift = rng.normal(0, 10, d)
             assert density_coverage(ref, cand, 2) == density_coverage(ref + shift, cand + shift, 2)
 
-    def test_precomputed_radii_match(self):
+    def test_ball_hits_takes_precomputed_radii(self):
         rng = np.random.default_rng(5)
         ref = EmbeddingSet(rng.normal(size=(30, 4)), "r")
         cand = EmbeddingSet(rng.normal(size=(20, 4)), "c")
         profile = knn_radii(ref, 3)
-        assert density_coverage(ref, cand, 3, profile) == density_coverage(ref, cand, 3)
+        for got, want in zip(ball_hits(ref, cand, 3, profile), ball_hits(ref, cand, 3)):
+            assert np.array_equal(got, want)
         with pytest.raises(ParameterError, match="radius profile"):
-            density_coverage(ref, cand, 4, profile)
+            ball_hits(ref, cand, 4, profile)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError, match="dimension mismatch"):
@@ -334,6 +336,24 @@ def crowded_pool_sets(draw):
     return real, generators
 
 
+def estimates_at_bound(a, b, centre, sigma, sign):
+    """sigma^2 s + sign * bound for every pair of rows of a and b, rounded to float32
+    toward sigma^2 s: the module docstring's first-order bound, (2D + 7) u (|a|^2 + |b|^2)
+    + (6D + 3) lambda with u = 2^-24, lambda = 2^-126 and the norms about ``centre``."""
+    rows, cols = np.divmod(np.arange(len(a) * len(b)), len(b))
+    exact = _exact_squared(a, b, rows, cols).reshape(len(a), len(b)) * sigma**2
+    norms_a, norms_b = (_centred(z, centre)[1] * sigma**2 for z in (a, b))
+    dim = a.shape[1]
+    bound = (2 * dim + 7) * 2.0**-24 * (norms_a[:, None] + norms_b)
+    bound += (6 * dim + 3) * 2.0**-126
+    target = exact + sign * bound
+    estimate = target.astype(np.float32)
+    # A rounding away from sigma^2 s takes one float32 step back toward it.
+    away = sign * (estimate - target) > 0
+    back = np.nextafter(estimate, np.where(sign > 0, -np.inf, np.inf).astype(np.float32))
+    return np.where(away, back, estimate)
+
+
 class TestReferenceEquality:
     """The GEMM kernel takes every ball decision as the per-dimension loop does."""
 
@@ -516,21 +536,6 @@ class TestReferenceEquality:
         x, y = sets
         rng = np.random.default_rng(seed)
 
-        def planted(a, b, sigma, sign):
-            """sigma^2 s + sign * bound for every pair, rounded to float32 toward sigma^2 s."""
-            rows, cols = np.divmod(np.arange(len(a) * len(b)), len(b))
-            exact = _exact_squared(a, b, rows, cols).reshape(len(a), len(b)) * sigma**2
-            norms_a, norms_b = (_centred(z, a.mean(axis=0))[1] * sigma**2 for z in (a, b))
-            dim = a.shape[1]
-            bound = (2 * dim + 7) * 2.0**-24 * (norms_a[:, None] + norms_b)
-            bound += (6 * dim + 3) * 2.0**-126
-            target = exact + sign * bound
-            estimate = target.astype(np.float32)
-            # A rounding away from sigma^2 s takes one float32 step back toward it.
-            away = sign * (estimate - target) > 0
-            back = np.nextafter(estimate, np.where(sign > 0, -np.inf, np.inf).astype(np.float32))
-            return np.where(away, back, estimate)
-
         def decided(estimate, radius, slack, sigma):
             masks = np.empty((2, estimate.size), dtype=bool)
             sides = [_thresholds(radius, slack, sigma)]
@@ -549,7 +554,7 @@ class TestReferenceEquality:
             (radius_x, (slack_x + slack_y.max())[:, None]), (radius_y, slack_y + slack_x.max())
         ):
             want = distances <= radius
-            estimate = planted(x, y, sigma, np.where(want, 1.0, -1.0))
+            estimate = estimates_at_bound(x, y, centre, sigma, np.where(want, 1.0, -1.0))
             assert np.array_equal(decided(estimate, radius, slack, sigma), want)
 
         # k-NN radii of x, on x's own mean and sigma, as knn_radii takes them.
@@ -557,9 +562,51 @@ class TestReferenceEquality:
         sigma = _scale(norms_x.max())
         slack = _rows(_centred(x, centre), sigma, left=True)[1]
         slack += _rows(_centred(x, centre), sigma, left=False)[1].max()
-        estimate = planted(x, x, sigma, rng.choice([-1.0, 1.0], (len(x), len(x))))
+        estimate = estimates_at_bound(x, x, centre, sigma, rng.choice([-1.0, 1.0], (len(x), len(x))))
         kth = _kth_exact(x, estimate[None], slack[None], k, 0, 0)
         assert np.array_equal(np.sqrt(kth[0]), reference_radii(x, k))
+
+    def test_a_far_first_set_bounds_the_balls_of_later_chunks(self, monkeypatch):
+        # "far" sits f = 3 * 2^10 out along e_0, alone in the first chunk. The
+        # second chunk's rows lie 2^10 from the centre, a ninth of "far"'s
+        # squared norm. Rows 2^10 and -2^10 of "line" are each other's nearest
+        # neighbour, so ball 0 of "line" has radius 2^11, and its edge runs
+        # through "far"'s rows, t u f off it (t = -3..3, u = 2^-24). Every
+        # estimate of a kernel call errs by the first-order bound toward the
+        # wrong side of y's ball: about 12.2 u f^2 on those entries, where y's
+        # band without the x rows' part is 5.6 u f^2 and the entries sit
+        # within 4 u f^2 of the edge. Each call must also keep sigma^2 times
+        # every row's squared norm below 2^100 (module docstring), "far"'s too.
+        f, dim = 3.0 * 2**10, 2
+        far = np.column_stack([f + np.arange(-3, 4) * 2.0**-24 * f, np.zeros(7)])
+        line = np.array([[f / 3, 0.0], [-f / 3, 0.0]])
+        cross = np.array([[0.0, f / 3], [0.0, -f / 3]])
+        sets, centre, planted = [far, line, cross], np.zeros(dim), []
+        estimate, kernel = ganens.metrics._estimate, ganens.metrics._ball_kernel
+
+        def at_bound(x, y, x_rows, y_rows, scale, *args):
+            assert max(x_rows[0][:, dim].max(), y_rows[0][:, dim + 1].max()) < 2.0**100
+            inside = pairwise_distances(x, y) <= args[-1]
+            planted.append(estimates_at_bound(x, y, centre, scale, np.where(inside, 1.0, -1.0)))
+            try:
+                return kernel(x, y, x_rows, y_rows, scale, *args)
+            finally:
+                planted.pop()
+
+        def estimated(left, right, out=None):
+            if not planted:  # a k-NN radius
+                return estimate(left, right, out)
+            assert left.shape[0] == planted[-1].shape[0]  # one block
+            return planted[-1]
+
+        monkeypatch.setattr(ganens.metrics, "_ball_kernel", at_bound)
+        monkeypatch.setattr(ganens.metrics, "_estimate", estimated)
+        monkeypatch.setattr(ganens.metrics, "_CHUNK_ENTRIES", len(far) * (dim + 2))
+        dns, cvg = pairwise_density_coverage(sets, 1, real_frame(far, False), centre)
+        for i, x in enumerate(sets):
+            for j, y in enumerate(sets):
+                if i != j:
+                    assert (dns[i, j], cvg[i, j]) == reference_density_coverage(x, y, 1)
 
     @settings(max_examples=200)
     @given(plants=radius_plants())

@@ -1,13 +1,28 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ganens import (
+    EnsembleEvaluator,
+    EnsembleGenome,
+    MetricConfig,
     ParameterError,
+    QualityRow,
+    ShortfallWarning,
+    build_union,
     compute_gap,
+    density_coverage,
     gmean_from_confusion,
+    harmonic_d,
     quality_rows,
     round_half_away,
+    subsample_rows,
 )
+from ganens.metrics import factored_set, frechet_factored
+from ganens.objective import capped_plan, quotas_by_id
 
 from conftest import make_pool
 
@@ -113,3 +128,74 @@ class TestQualityRows:
         pool = self._pool()
         rows = [r.label for r in quality_rows(pool, k=5, seed=0, include_all=True)]
         assert rows == ["far", "same", "all"]
+
+
+@st.composite
+def quality_cases(draw):
+    """A small pool, a neighbour count, a genome and its union size.
+
+    The first generator holds more rows than the real set, so its row is a
+    subsample, and the second two or three rows, so it falls short of most
+    quotas. Integer-grid rows sit exactly on one another's radii, and rows
+    copied from the real set give zero distances.
+    """
+    dim = draw(st.integers(1, 4))
+    n_real = draw(st.integers(4, 12))
+    sizes = [draw(st.integers(n_real + 1, 3 * n_real)), draw(st.integers(2, 3))]
+    sizes += draw(st.lists(st.integers(2, 3 * n_real), max_size=2))
+    grid = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows(count):
+        if grid:
+            return rng.integers(-2, 3, size=(count, dim)).astype(np.float64)
+        return rng.standard_normal((count, dim))
+
+    real = rows(n_real)
+    sets = {}
+    for g, size in enumerate(sizes):
+        data = rows(size)
+        if draw(st.booleans()):
+            data[: size // 2] = real[rng.integers(0, n_real, size // 2)]
+        sets[f"g{g}"] = data
+    pool = make_pool(sets, real)
+    k = draw(st.integers(1, min(n_real, *sizes) - 1))
+    bits = draw(st.lists(st.integers(0, 1), min_size=len(sizes), max_size=len(sizes)))
+    bits[draw(st.integers(0, len(sizes) - 1))] = 1
+    genome = EnsembleGenome(tuple(bits), pool.ref)
+    total = draw(st.integers(max(2, sum(bits)), 3 * n_real))
+    return pool, k, genome, total
+
+
+class TestQualityRowsEqualBuiltUnions:
+    """Every quality row is the metrics of its built union, and its union row the evaluator's."""
+
+    @settings(max_examples=150)
+    @given(case=quality_cases(), seed=st.integers(0, 3))
+    def test_rows_equal_reference(self, case, seed):
+        pool, k, genome, total = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShortfallWarning)
+            union = quotas_by_id(capped_plan(genome, pool, total), pool)
+            everyone = EnsembleGenome((1,) * pool.size, pool.ref)
+            all_union = quotas_by_id(capped_plan(everyone, pool, max(pool.real.rows, pool.size)), pool)
+            # The quotas as a selection may write them, out of canonical order.
+            rows = quality_rows(pool, k, seed, dict(reversed(union.items())), include_all=True)
+            evaluators = [
+                EnsembleEvaluator(pool, MetricConfig(kind=kind, k=k), seed=seed, total=total)
+                for kind in ("dnc", "fid")
+            ]
+            dnc, fid = (evaluator.evaluate(genome).intra for evaluator in evaluators)
+        real = factored_set(pool.real)
+
+        def reference(label, rows):
+            return QualityRow(label, frechet_factored(real, rows), *density_coverage(pool.real, rows, k))
+
+        want = [
+            reference(record.id, subsample_rows(es, pool.real.rows, seed, record.id))
+            for record, es in pool.members
+        ]
+        want.append(reference("union", build_union(union, pool, seed)))
+        want.append(reference("all", build_union(all_union, pool, seed)))
+        assert rows == want
+        assert (harmonic_d(rows[-2].density, rows[-2].coverage), rows[-2].fid) == (dnc, fid)
