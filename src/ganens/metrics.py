@@ -66,12 +66,12 @@ That is ``(2D + 7) u + (3D + 8) v + lambda <= (2D + 8) u`` times
 and a half times both terms, ``ERR = (3 D + 12) (u (|a|^2 + |b|^2) + 4 lambda)``;
 for D < 2^20 the margin covers the first-order approximation and the
 rounding of ERR itself. It splits ERR into a part per reference row and a
-part per candidate row, and bounds row i by its own part plus a bound on
-the other side's parts, so no N x M array of bounds is built; a looser
-bound only recomputes more entries. ``_rows`` builds either side's rows
-and their parts (the one place that holds ERR's coefficients), and
-``_estimate`` takes their product, for ``_ball_kernel`` and ``knn_radii``
-alike.
+part per candidate row (``_slack``, the one place that holds ERR's
+coefficients), and bounds row i by its own part plus a bound on the other
+side's parts, so no N x M array of bounds is built; a looser bound only
+recomputes more entries. ``_rows`` builds either side's rows and their
+parts, and ``_estimate`` takes their product, for ``_ball_kernel`` and
+``knn_radii`` alike.
 
 - A ball test ``d <= r`` uses the guard band ``band = ERR + 8 u (sigma r)^2``:
   the entry is inside when ``s^ < (sigma r)^2 - band`` and outside when
@@ -99,26 +99,26 @@ data (as ``EmbeddingSet`` stores it) cannot reach. A NaN estimate or bound
 always falls in the band and is recomputed.
 
 ``_ball_kernel`` takes every ball decision: the hits of x's balls on
-consecutive sets of y rows (``ball_hits``) and, from the same estimate, the
-x rows in each of y's balls. Both are centred on the caller's centre and
-scaled by the caller's sigma, which keeps the bound (c enters it only
-through the rounding of x - c and y - c). It writes each block through
-``out=`` into the caller's buffers: a fresh 1 MiB result per block lies
-above glibc's mmap threshold (128 KiB), so its pages would fault in anew.
-Sure hits count where they lie (column sums of the inside masks, and a
-per-(ball, set) "any", or first-hit ranks for ``ball_hits`` alone), and the
-band entries of both orders are recomputed together, once.
-``pairwise_density_coverage`` centres every set on the real set's mean in
-the frame and stacks consecutive whole sets in chunks of at most
-``_CHUNK_ENTRIES`` entries (rows times D + 2; a larger set is a chunk by
-itself). Each chunk is framed once, and its framed rows give its sets'
-k-NN radii (a run of equal-size sets as one ``knn_radii`` stack) and its
-rows. Its sigma comes from the largest squared norm of every set up to its
-last one, which covers every set it meets (x sets come from it or earlier
-chunks). Decisions are exact under any power-of-two sigma, so a chunk's
-sigma moves no output. Each earlier set takes one kernel call per chunk,
-which bounds each side's balls by the rows of the other side that it meets;
-per-set sums of its outputs give both orders.
+consecutive sets of y rows and, from the same estimate, the x rows in each
+of y's balls, on the caller's centre and sigma, which keep the bound (c
+enters it only through the rounding of x - c and y - c). It writes each
+block through ``out=`` into the caller's buffers: a fresh 1 MiB result per
+block lies above glibc's mmap threshold (128 KiB), so its pages would fault
+in anew. Sure hits count where they lie (column sums of the inside masks,
+and a per-(ball, set) "any", or first-hit ranks for ``ball_tables``), and
+the band entries of both orders are recomputed together, once. Its two
+drivers gather and frame consecutive whole sets one ``_chunks`` run at a
+time: at most ``_CHUNK_ENTRIES`` entries (rows times D + 2; a larger set
+is a run by itself), with one buffer and mask pair sized for the largest.
+``ball_tables`` runs a reference's balls over each run, centred on the
+reference's mean. ``pairwise_density_coverage`` centres every set on the
+real set's mean in the frame, and each run's rows give its sets' k-NN
+radii (equal-size sets as one ``knn_radii`` stack) and thresholds. Its
+sigma comes from the largest squared norm of every set up to its last
+one, which covers every set it meets (x sets come from it or earlier
+runs), and that norm's part of ERR bounds every x row's. Each earlier set
+takes one kernel call per run; per-set sums give both orders. Decisions
+are exact under any power-of-two sigma, so no sigma moves an output.
 """
 from __future__ import annotations
 
@@ -146,8 +146,8 @@ _ERR_BASE = 12.0
 _TOP_EXPONENT = 100
 _MAX_SCALE_EXPONENT = 474
 # Entries per block of the estimated distance matrix, whatever N is. knn_radii
-# and ball_hits take a quarter block, whose copies and masks stay in a core's
-# 2 MiB L2 cache; the pairwise matrix fills one full-size float32 buffer in place.
+# takes a quarter block, whose copies and masks stay in a core's 2 MiB L2 cache;
+# the ball kernel fills one float32 buffer of at least a block in place.
 _BLOCK_ENTRIES = 1 << 18
 # Right-hand entries per chunk of candidate sets stacked for one reference.
 _CHUNK_ENTRIES = _BLOCK_ENTRIES // 4
@@ -191,17 +191,6 @@ class MetricConfig:
 
 
 @dataclass(frozen=True)
-class RadiusProfile:
-    """Per-point k-th-nearest-neighbor distances within one reference set."""
-
-    k: int
-    radii: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radii", readonly(np.asarray(self.radii, dtype=np.float64)))
-
-
-@dataclass(frozen=True)
 class GaussianSummary:
     """Mean vector and unbiased covariance of one embedding set."""
 
@@ -219,9 +208,12 @@ class GaussianSummary:
         return int(self.mean.shape[0])
 
 
+def _raw(x: EmbeddingSet | np.ndarray) -> np.ndarray:
+    return x.data if isinstance(x, EmbeddingSet) else np.asarray(x)
+
+
 def _as_matrix(x: EmbeddingSet | np.ndarray) -> np.ndarray:
-    data = x.data if isinstance(x, EmbeddingSet) else np.asarray(x)
-    return np.ascontiguousarray(data, dtype=np.float64)
+    return np.ascontiguousarray(_raw(x), dtype=np.float64)
 
 
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -274,13 +266,19 @@ def _scale(peak: float) -> float:
     return 2.0 ** min(_MAX_SCALE_EXPONENT, (_TOP_EXPONENT - exponent) // 2)
 
 
+def _slack(norms: np.ndarray | float, dim: int, left: bool) -> np.ndarray | float:
+    """Each row's part of ERR in sigma^2 units, for scaled squared ``norms`` in D = ``dim``;
+    the ``left`` side of the product carries the constant term (module docstring)."""
+    coef = _ERR_PER_DIM * dim + _ERR_BASE
+    return norms * (coef * _UNIT_ROUNDOFF) + (coef * 4.0 * _SMALLEST_NORMAL if left else 0.0)
+
+
 def _rows(
     centred: tuple[np.ndarray, np.ndarray], scale: float, left: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """float32 rows of ``_centred``'s ``(a, |a|^2)`` under sigma ``scale``, and each row's
-    part of ERR in sigma^2 units: ``[sigma a, sigma^2 |a|^2, 1]`` on the ``left`` of the
-    product, whose part carries ERR's constant term, else ``[-2 sigma a, 1, sigma^2 |a|^2]``
-    (module docstring)."""
+    """float32 rows of ``_centred``'s ``(a, |a|^2)`` under sigma ``scale``, and their
+    ``_slack``: ``[sigma a, sigma^2 |a|^2, 1]`` on the ``left`` of the product, else
+    ``[-2 sigma a, 1, sigma^2 |a|^2]``."""
     a, norms = centred
     dim = a.shape[-1]
     rows = np.empty(a.shape[:-1] + (dim + 2,), dtype=np.float32)
@@ -288,8 +286,7 @@ def _rows(
     norms = norms * (scale * scale)
     rows[..., dim + (not left)] = norms
     rows[..., dim + left] = 1.0
-    coef = _ERR_PER_DIM * dim + _ERR_BASE
-    return rows, norms * (coef * _UNIT_ROUNDOFF) + (coef * 4.0 * _SMALLEST_NORMAL if left else 0.0)
+    return rows, _slack(norms, dim, left)
 
 
 def _estimate(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -351,31 +348,32 @@ def _ball_kernel(
     x: np.ndarray, y: np.ndarray, x_rows: tuple[np.ndarray, np.ndarray],
     y_rows: tuple[np.ndarray, np.ndarray], scale: float, radius: np.ndarray,
     lengths: np.ndarray, buffer: np.ndarray, masks: np.ndarray,
-    y_radius: np.ndarray | None = None, ranks: bool = False,
+    y_side: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None, ranks: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(sums, first)`` of x's balls of ``radius`` on the consecutive sets of ``lengths``
-    rows in y: ``sums[0][j]`` counts x's balls holding y row j, ``first`` is
-    ``ball_hits``', and with ``y_radius`` (y's balls) ``sums[1][j]`` counts the x rows
+    rows in y: ``sums[0][j]`` counts x's balls holding y row j, ``first[s, i]`` is the
+    rank within set s of its first row inside x's ball i (the set's length if none is),
+    and with ``y_side`` (``_thresholds`` of y's balls) ``sums[1][j]`` counts the x rows
     inside y's ball j. Without ``ranks`` a hit reads the set's length less one in
     ``first``: below the length, all that coverage needs.
 
     ``x_rows`` and ``y_rows`` are the left ``_rows`` of x and the right ``_rows`` of y on
-    one centre and sigma ``scale``; a caller builds y's rows once for every x it meets.
-    Each block of x rows, as many as the float32 ``buffer`` holds (at least one), is
-    estimated into it and decided into ``masks``.
+    one centre and sigma ``scale``; a caller builds y's rows and thresholds once for
+    every x it meets. Each block of x rows, as many as the float32 ``buffer`` holds (at
+    least one), is estimated into it and decided into ``masks``.
     """
     left, slack_x = x_rows
     right, slack_y = y_rows
     m = y.shape[0]
     offsets = np.cumsum(lengths) - lengths
-    # A slack over all of the other side's rows still bounds every entry of a block.
+    # A slack over all of y's rows still bounds every entry of a block.
     x_side = _thresholds(radius, slack_x + slack_y.max(), scale)
-    y_side = None if y_radius is None else _thresholds(y_radius, slack_y + slack_x.max(), scale)
     sums = np.zeros((1 if y_side is None else 2, m), dtype=np.int64)
     first = np.empty((lengths.size, x.shape[0]), dtype=np.int64)
     # Each column's rank counted back from its set's end: a ball's largest over its hits
     # is its set's length less the first hit's rank, and 0 where no row hits it.
-    tail = (np.repeat(offsets + lengths, lengths) - np.arange(m)).astype(np.min_scalar_type(m))
+    tail = (np.repeat(offsets + lengths, lengths) - np.arange(m)).astype(
+        np.min_scalar_type(m)) if ranks else None
     step = buffer.size // m
     for start in range(0, x.shape[0], step):
         block = slice(start, start + step)
@@ -422,8 +420,9 @@ def _kth_exact(
     return picked.reshape(count, height)
 
 
-def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
-    """Distance from each point to its k-th nearest other point in the same set.
+def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> np.ndarray:
+    """Distance from each point to its k-th nearest other point in the same set, as a
+    read-only float64 array.
 
     Requires 1 <= k < N. Ties in neighbor ranking are value ties, so the
     k-th order statistic is well defined regardless of index order.
@@ -461,23 +460,21 @@ def knn_radii(reference: EmbeddingSet | np.ndarray, k: int) -> RadiusProfile:
             kth[block_sets, block_rows] = _kth_exact(
                 points, estimate, slack[block_sets, block_rows], k, lo * n, start
             )
-    radii = np.sqrt(kth)
-    return RadiusProfile(k=k, radii=radii if ref.ndim == 3 else radii[0])
+    return readonly(np.sqrt(kth if ref.ndim == 3 else kth[0]))
 
 
-def _chunks(counts: list[int], width: int):
-    """Runs ``(lo, hi)`` of consecutive sets holding at most ``_CHUNK_ENTRIES`` entries together.
-
-    Set j holds ``counts[j] * width`` entries; a set larger than the cap is
-    a run by itself.
-    """
-    lo = entries = 0
+def _chunks(counts: list[int], width: int) -> tuple[list[tuple[int, int]], int]:
+    """Runs ``(lo, hi)`` of consecutive sets holding at most ``_CHUNK_ENTRIES`` entries
+    together (set j holds ``counts[j] * width``; a larger set is a run by itself), and the
+    entries of a kernel buffer for them: a block, or the largest run's rows if more."""
+    runs, lo, entries = [], 0, 0
     for hi, count in enumerate(counts):
         if hi > lo and entries + count * width > _CHUNK_ENTRIES:
-            yield lo, hi
+            runs.append((lo, hi))
             lo, entries = hi, 0
         entries += count * width
-    yield lo, len(counts)
+    runs.append((lo, len(counts)))
+    return runs, max(_BLOCK_ENTRIES, *(sum(counts[lo:hi]) for lo, hi in runs))
 
 
 def density_coverage(
@@ -490,10 +487,11 @@ def density_coverage(
     Density is the expected number of reference k-NN balls containing a
     candidate point, divided by k; it can exceed 1. Coverage is the fraction
     of reference points whose ball contains at least one candidate point.
+    Both come from ``ball_tables`` of the candidate alone, in row order.
     """
-    counts, first = ball_hits(reference, candidate, k)
-    m, n = counts.shape[0], first.shape[0]
-    return int(counts.sum()) / (k * m), int(np.count_nonzero(first < m)) / n
+    m = len(_raw(candidate))
+    (prefix,), (first,) = ball_tables(reference, [(candidate, np.arange(m))], k, _as_matrix)
+    return int(prefix[m]) / (k * m), int(np.count_nonzero(first < m)) / first.size
 
 
 def pairwise_density_coverage(
@@ -506,15 +504,15 @@ def pairwise_density_coverage(
 
     x_i is ``to_frame(sets[i])`` (``real_frame`` gives the map), and every
     estimate row is centred on ``centre``. Each chunk is framed once, which
-    gives its sets' k-NN radii, its rows, and the largest squared norm about
-    ``centre`` up to its last set: sigma comes from that running peak, which
-    covers every x set the chunk meets (module docstring).
+    gives its sets' k-NN radii, its rows and thresholds, and the largest
+    squared norm about ``centre`` up to its last set: sigma and the x-side
+    part of y's bound come from that running peak, which covers every x set
+    the chunk meets (module docstring).
     """
-    parts = [s.data if isinstance(s, EmbeddingSet) else np.asarray(s) for s in sets]
+    parts = [_raw(s) for s in sets]
     n, rows, dim = len(parts), np.array([part.shape[0] for part in parts]), parts[0].shape[1]
     hits, covered = np.zeros((2, n, n), dtype=np.int64)
-    chunks = list(_chunks(rows.tolist(), dim + 2))
-    size = max(_BLOCK_ENTRIES, *(rows[lo:hi].sum() for lo, hi in chunks))
+    chunks, size = _chunks(rows.tolist(), dim + 2)
     # One of each per matrix.
     buffer, masks = np.empty(size, dtype=np.float32), np.empty((4, size), dtype=bool)
     radii, peak = [], 0.0
@@ -523,13 +521,16 @@ def pairwise_density_coverage(
         start = 0
         for length, run in groupby(rows[lo:hi].tolist()):  # a run of equal-size sets, one stack
             stop = start + length * len(list(run))
-            radii.extend(knn_radii(y[start:stop].reshape(-1, length, dim), k).radii)
+            radii.extend(knn_radii(y[start:stop].reshape(-1, length, dim), k))
             start = stop
         centred = _centred(y, centre)
         peak = max(peak, float(centred[1].max()))
         scale = _scale(peak)
         right, slack_y = _rows(centred, scale, left=False)
         del centred
+        # No x row's part of the bound exceeds that of a row of norm peak.
+        slack_x = _slack(peak * (scale * scale), dim, left=True)
+        y_side = _thresholds(np.concatenate(radii[lo:hi]), slack_y + slack_x, scale)
         for i in range(hi - 1):
             # Set i against the sets after it: the balls of each side, in one estimate.
             later = max(lo, i + 1)
@@ -538,7 +539,7 @@ def pairwise_density_coverage(
             (counts, back), first = _ball_kernel(
                 x, y[skip:], _rows(_centred(x, centre), scale, left=True),
                 (right[skip:], slack_y[skip:]), scale, radii[i], lengths, buffer, masks,
-                np.concatenate(radii[later:hi]),
+                tuple(t[skip:] for t in y_side),
             )
             offsets = np.cumsum(lengths) - lengths
             hits[i, later:hi] = np.add.reduceat(counts, offsets)
@@ -548,53 +549,52 @@ def pairwise_density_coverage(
     return hits / (k * rows), covered / rows[:, None]
 
 
-def ball_hits(
+def ball_tables(
     reference: EmbeddingSet | np.ndarray,
-    candidate: EmbeddingSet | np.ndarray,
+    sets: Sequence[tuple[EmbeddingSet | np.ndarray, np.ndarray]],
     k: int,
-    radii: RadiusProfile | None = None,
-    segments: Sequence[int] | None = None,
+    to_frame: Callable[[EmbeddingSet | np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ball counts and per-ball first hits of a candidate set, decided exactly.
+    """The reference's k-NN balls over each set's rows in its order, decided exactly.
 
-    Returns ``(counts, first)``: ``counts[j]`` is the number of reference k-NN
-    balls holding candidate row j, and ``first[i]`` is the index of the first
-    candidate row inside ball i, or M (the candidate row count) if none is.
-    So ``density_coverage`` of the first t candidate rows is
-    ``(counts[:t].sum() / (k * t), count_nonzero(first < t) / N)``, for every
-    t at once.
-
-    ``segments`` splits the candidate rows into consecutive sets of these
-    row counts, each at least 1, summing to M. ``first`` is then
-    (len(segments), N): ``first[s, i]`` counts from the start of set s, and
-    is set s's row count if none of its rows is inside ball i. One call thus
-    stands for one call per set, and one call of the module's ball kernel
-    (centred on the reference mean) serves them all.
+    Each set is ``(rows, order)``, ``order`` a permutation of its rows; the
+    reference and the rows go through ``to_frame`` (``real_frame`` gives the
+    map). ``prefix[s, t]`` counts the (ball, row) hits among set s's first t
+    rows, for t up to its row count, and ``first[s, i]`` is the rank of its
+    first row inside ball i, or its row count if none is. So those t rows
+    have density ``prefix[s, t] / (k * t)`` and coverage
+    ``count_nonzero(first[s] < t) / N``. The reference is framed, centred
+    and given its k-NN radii once; each ``_chunks`` run of sets is gathered,
+    framed and decided in one kernel call, so no copy of every set is made.
     """
-    ref = _as_matrix(reference)
-    cand = _as_matrix(candidate)
-    if ref.shape[1] != cand.shape[1]:
-        raise ParameterError(
-            f"dimension mismatch: reference D={ref.shape[1]}, candidate D={cand.shape[1]}"
+    real = to_frame(reference)
+    parts = [(_raw(rows), np.asarray(order)) for rows, order in sets]
+    for data, order in parts:
+        if data.shape[1] != real.shape[1]:
+            raise ParameterError(f"dimension mismatch: reference D={real.shape[1]}, "
+                                 f"candidate D={data.shape[1]}")
+        if order.size == 0 or not np.array_equal(np.sort(order), np.arange(len(data))):
+            raise ParameterError(f"a set's order must permute its rows, 1 or more; "
+                                 f"got {order.tolist()} for {len(data)} rows")
+    radius, centre = knn_radii(real, k), real.mean(axis=0)
+    x_centred = _centred(real, centre)
+    counts = [order.size for _, order in parts]
+    prefix = np.zeros((len(parts), max(counts) + 1), dtype=np.int64)
+    first = np.empty((len(parts), len(real)), dtype=np.min_scalar_type(max(counts)))
+    chunks, size = _chunks(counts, real.shape[1] + 2)
+    buffer, masks = np.empty(size, dtype=np.float32), np.empty((2, size), dtype=bool)
+    for lo, hi in chunks:
+        y = to_frame(np.concatenate([data[order] for data, order in parts[lo:hi]]))
+        y_centred = _centred(y, centre)
+        scale = _scale(max(x_centred[1].max(), y_centred[1].max()))
+        lengths = np.array(counts[lo:hi])
+        (hits,), first[lo:hi] = _ball_kernel(
+            real, y, _rows(x_centred, scale, left=True), _rows(y_centred, scale, left=False),
+            scale, radius, lengths, buffer, masks, ranks=True,
         )
-    if radii is not None and (radii.k != k or radii.radii.shape[0] != ref.shape[0]):
-        raise ParameterError("radius profile does not match this reference set and k")
-    radius = knn_radii(ref, k).radii if radii is None else radii.radii
-    m = cand.shape[0]
-    lengths = np.array([m] if segments is None else segments, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != m:
-        raise ParameterError(
-            f"candidate sets need 1 row or more each and {m} in all, got {lengths.tolist()}"
-        )
-    size, centre = max(_BLOCK_ENTRIES // 4, m), ref.mean(axis=0)
-    x_rows, y_rows = _centred(ref, centre), _centred(cand, centre)
-    scale = _scale(max(x_rows[1].max(), y_rows[1].max()))
-    x_rows, y_rows = _rows(x_rows, scale, left=True), _rows(y_rows, scale, left=False)
-    (counts,), first = _ball_kernel(
-        ref, cand, x_rows, y_rows, scale, radius, lengths,
-        np.empty(size, dtype=np.float32), np.empty((2, size), dtype=bool), ranks=True,
-    )
-    return counts, first[0] if segments is None else first
+        for s, end, count in zip(range(lo, hi), np.cumsum(lengths), lengths):
+            np.cumsum(hits[end - count : end], out=prefix[s, 1 : count + 1])
+    return prefix, first
 
 
 def harmonic_d(dns: float, cvg: float) -> float:

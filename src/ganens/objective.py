@@ -12,11 +12,11 @@ its rows, seeded by (seed, g's id): ``subsample_rows`` returns the first
 rows of that draw order, and ``build_union`` and ``pairwise_matrix`` sample
 through it. ``UnionScore``, the one Intra-d scorer, which the evaluator and
 the quality report share, scores a union from per-generator state built
-once. For density and coverage it runs the real set's closed k-NN balls
-over each generator's rows once, in draw order, and keeps two integer
-arrays per generator: ``prefix[t]``, the number of (ball, row) hits among
-the first t rows, and ``first[i]``, the rank of the first row inside real
-ball i (the row count if none is). A union then has
+once. For density and coverage it keeps ``metrics.ball_tables`` of the
+real set's closed k-NN balls over each generator's rows in draw order,
+two integer arrays per generator: ``prefix[t]``, the number of (ball, row)
+hits among the first t rows, and ``first[i]``, the rank of the first row
+inside real ball i (the row count if none is). A union then has
 ``sum(prefix_g[take_g])`` hits over ``sum(take_g)`` rows and covers ball i
 iff ``first_g[i] < take_g`` for some member g. Ball decisions are exact and
 counts are integers, so this equals ``density_coverage`` of the built union
@@ -45,12 +45,10 @@ from .errors import DataError, ParameterError, ShortfallWarning
 from .metrics import (
     MetricConfig,
     MetricKind,
-    _chunks,
-    ball_hits,
+    ball_tables,
     factored_set,
     frechet_factored,
     harmonic_d,
-    knn_radii,
     metric_d,
     pairwise_density_coverage,
     real_frame,
@@ -315,7 +313,7 @@ def pairwise_matrix(
     Density and coverage are asymmetric, so a dnc entry averages both
     argument orders, all from one ``pairwise_density_coverage`` call. Each
     subsample meets the later ones of a memory-capped chunk in one call of
-    the ball kernel ``ball_hits`` runs on: from one estimate centred on the
+    the ball kernel ``ball_tables`` runs on: from one estimate centred on the
     real set's mean, it counts both orders' sure hits in place and lists
     only the entries in either guard band, each recomputed exactly once.
 
@@ -388,48 +386,28 @@ def _block_mean(values: np.ndarray, members: np.ndarray) -> float:
     return float((block.sum() - np.trace(block)) / (n * (n - 1)))
 
 
-def _ball_tables(pool: Pool, to_frame, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dnc prefix counts and first-hit ranks (module docstring), in the real frame."""
-    real = to_frame(pool.real)
-    radii = knn_radii(real, k)
-    longest = int(pool.rows.max())
-    # prefix[g, t] is read only for t <= rows of g; a rank fits the
-    # smallest integer type that holds the longest generator's row count.
-    prefix = np.zeros((pool.size, longest + 1), dtype=np.int64)
-    first = np.empty((pool.size, real.shape[0]), dtype=np.min_scalar_type(longest))
-    # Whole generators share a ball_hits call under the pairwise matrix's chunk cap.
-    for lo, hi in _chunks(pool.rows.tolist(), real.shape[1] + 2):
-        rows = pool.rows[lo:hi]
-        drawn = np.concatenate([es.data[_draw_order(es, seed, record.id)]
-                                for record, es in pool.members[lo:hi]])
-        counts, first[lo:hi] = ball_hits(real, to_frame(drawn), k, radii, segments=rows)
-        for g, end, count in zip(range(lo, hi), np.cumsum(rows), rows):
-            np.cumsum(counts[end - count : end], out=prefix[g, 1 : count + 1])
-    return prefix, first
-
-
 class UnionScore:
     """Intra-d's genome-independent state for one (pool, metric, seed), and its two scores.
 
     A plan ``(members, takes)`` is a union: members in canonical order, each
     giving the first ``take`` rows of its draw order. Rows go into the real
     set's frame (``real_frame``), as ``metric_d`` puts a union there. For dnc
-    the scorer holds the ball tables (module docstring), so
-    ``density_coverage`` of a plan is integer work; for fid, the real set's
-    ``FactoredSet`` and each generator's draw order, so ``frechet`` gathers
-    the union's rows and projects them by the real factor once. The scores
-    equal ``metrics.density_coverage`` and ``frechet_factored`` of
-    ``build_union``'s union of the plan bit for bit.
+    the scorer holds ``metrics.ball_tables`` over each generator's draw
+    order (module docstring), so ``density_coverage`` of a plan is integer
+    work; for fid, the real set's ``FactoredSet``, so ``frechet`` gathers
+    the union's rows by the draw orders and projects them by the real
+    factor once. The scores equal ``metrics.density_coverage`` and
+    ``frechet_factored`` of ``build_union``'s union of the plan bit for bit.
     """
 
     def __init__(self, pool: Pool, cfg: MetricConfig, seed: int) -> None:
-        self.pool, self.k = pool, cfg.k
+        self.k = cfg.k
         self._to_frame = real_frame(pool.real, cfg.standardize)
+        self._sets = [(es, _draw_order(es, seed, record.id)) for record, es in pool.members]
         if cfg.kind is MetricKind.DENSITY_COVERAGE:
             require_neighbours(pool.real.rows, cfg.k, "the real set", "lower --k")
-            self._prefix, self._first = _ball_tables(pool, self._to_frame, cfg.k, seed)
+            self._prefix, self._first = ball_tables(pool.real, self._sets, cfg.k, self._to_frame)
         else:
-            self._orders = [_draw_order(es, seed, record.id) for record, es in pool.members]
             self._real = factored_set(pool.real, self._to_frame)
 
     def density_coverage(self, members: np.ndarray, takes: np.ndarray) -> tuple[float, float]:
@@ -443,7 +421,7 @@ class UnionScore:
         """The Frechet distance between the real set and the plan's union."""
         # Gathered straight into float64, which float32 rows convert to exactly.
         union = np.concatenate([
-            _prefix_rows(self.pool.members[g][1].data, self._orders[g], take)
+            _prefix_rows(self._sets[g][0].data, self._sets[g][1], take)
             for g, take in zip(members.tolist(), takes.tolist())
         ], dtype=np.float64)
         return frechet_factored(self._real, self._to_frame(union))

@@ -14,7 +14,6 @@ from ganens import (
     NumericError,
     Orientation,
     ParameterError,
-    ball_hits,
     density_coverage,
     frechet_distance,
     gaussian_summary,
@@ -28,6 +27,7 @@ import ganens.metrics
 from ganens.metrics import (
     EIGENVALUE_CLAMP,
     _UNIT_ROUNDOFF,
+    _as_matrix,
     _block_inside,
     _centred,
     _exact_squared,
@@ -35,6 +35,7 @@ from ganens.metrics import (
     _rows,
     _scale,
     _thresholds,
+    ball_tables,
     factored_set,
     frechet_factored,
     pairwise_density_coverage,
@@ -58,11 +59,11 @@ def brute_force_density_coverage(ref, cand, k):
 class TestKnnRadii:
     def test_hand_example(self):
         profile = knn_radii(np.array([[0.0], [1.0], [3.0]]), 1)
-        assert profile.radii.tolist() == [1.0, 1.0, 2.0]
+        assert profile.tolist() == [1.0, 1.0, 2.0]
 
     def test_duplicate_points_give_zero_radius(self):
         profile = knn_radii(np.array([[2.0, 2.0], [2.0, 2.0]]), 1)
-        assert profile.radii.tolist() == [0.0, 0.0]
+        assert profile.tolist() == [0.0, 0.0]
 
     def test_k_equal_to_n_is_an_error(self):
         with pytest.raises(ParameterError, match="1 <= k < N"):
@@ -73,7 +74,7 @@ class TestKnnRadii:
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(20, 3))
-        assert np.array_equal(knn_radii(x, 4).radii, knn_radii(x, 4).radii)
+        assert np.array_equal(knn_radii(x, 4), knn_radii(x, 4))
 
 
 class TestDensityCoverage:
@@ -108,7 +109,7 @@ class TestDensityCoverage:
         rng = np.random.default_rng(3)
         ref = rng.normal(size=(30, 4))
         cand = rng.normal(size=(20, 4)) + 100.0
-        radii = knn_radii(ref, 5).radii
+        radii = knn_radii(ref, 5)
         assert pairwise_distances(ref, cand).min() > radii.max()
         dns, cvg = density_coverage(ref, cand, 5)
         assert dns == 0.0 and cvg == 0.0
@@ -134,27 +135,19 @@ class TestDensityCoverage:
             shift = rng.normal(0, 10, d)
             assert density_coverage(ref, cand, 2) == density_coverage(ref + shift, cand + shift, 2)
 
-    def test_ball_hits_takes_precomputed_radii(self):
-        rng = np.random.default_rng(5)
-        ref = EmbeddingSet(rng.normal(size=(30, 4)), "r")
-        cand = EmbeddingSet(rng.normal(size=(20, 4)), "c")
-        profile = knn_radii(ref, 3)
-        for got, want in zip(ball_hits(ref, cand, 3, profile), ball_hits(ref, cand, 3)):
-            assert np.array_equal(got, want)
-        with pytest.raises(ParameterError, match="radius profile"):
-            ball_hits(ref, cand, 4, profile)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError, match="dimension mismatch"):
             density_coverage(np.zeros((4, 2)), np.zeros((4, 3)), 1)
 
     @pytest.mark.parametrize("segments", [[4, 4], [2, 2], [6, 0], [7, -1], []])
     def test_malformed_segments_rejected(self, segments):
-        # On 6 candidate rows, [4, 4] named rows that do not exist and [2, 2] hit an IndexError.
+        # Each set is one segment of the ball tables, taken in its order, which must
+        # permute its rows: on 6 rows, [4, 4] and [2, 2] repeat a row and leave out the
+        # others, [6, 0] and [7, -1] name rows that do not exist, and [] takes none.
         rng = np.random.default_rng(8)
-        ref, cand = rng.normal(size=(5, 2)), rng.normal(size=(6, 2))
-        with pytest.raises(ParameterError, match="1 row or more each and 6 in all"):
-            ball_hits(ref, cand, 2, segments=segments)
+        ref, cand = EmbeddingSet(rng.normal(size=(5, 2))), rng.normal(size=(6, 2))
+        with pytest.raises(ParameterError, match="order must permute its rows, 1 or more"):
+            ball_tables(ref, [(cand, np.arange(6)), (cand, segments)], 2, _as_matrix)
 
 
 def reference_radii(x, k):
@@ -179,6 +172,26 @@ def float32_band_edges(lower, upper):
 def reference_density_coverage(ref, cand, k):
     inside = pairwise_distances(ref, cand) <= reference_radii(ref, k)[:, None]
     return float(inside.sum()) / (k * cand.shape[0]), float(inside.any(axis=1).mean())
+
+
+def reference_tables(ref, cand, k, order=None):
+    """``ball_tables``' ``(prefix, first)`` of one set in ``order`` (row order by default),
+    from the reference's ball decisions."""
+    order = np.arange(len(cand)) if order is None else order
+    inside = (pairwise_distances(ref, cand) <= reference_radii(ref, k)[:, None])[:, order]
+    prefix = np.concatenate([[0], np.cumsum(inside.sum(axis=0))])
+    return prefix, np.where(inside.any(axis=1), inside.argmax(axis=1), len(order))
+
+
+def one_set_tables(ref, cand, k, order=None):
+    """``ball_tables`` of one set, in ``order`` (row order by default), as 1-D arrays."""
+    order = np.arange(len(cand)) if order is None else order
+    (prefix,), (first,) = ball_tables(ref, [(cand, order)], k, _as_matrix)
+    return prefix, first
+
+
+def assert_tables_equal(got, want):
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def grid_or_normal_rows(rng, kind, count, dim):
@@ -362,12 +375,9 @@ class TestReferenceEquality:
     def test_radii_and_counts_equal_reference(self, sets, k_draw):
         x, y = sets
         k = 1 + k_draw % (x.shape[0] - 1)
-        assert np.array_equal(knn_radii(x, k).radii, reference_radii(x, k))
+        assert np.array_equal(knn_radii(x, k), reference_radii(x, k))
         assert density_coverage(x, y, k) == reference_density_coverage(x, y, k)
-        inside = pairwise_distances(x, y) <= reference_radii(x, k)[:, None]
-        counts, first = ball_hits(x, y, k)
-        assert np.array_equal(counts, inside.sum(axis=0))
-        assert np.array_equal(first, np.where(inside.any(axis=1), inside.argmax(axis=1), len(y)))
+        assert_tables_equal(one_set_tables(x, y, k), reference_tables(x, y, k))
 
     @settings(max_examples=100)
     @given(sets=ball_sets(), k_draw=st.integers(0, 100), standardize=st.booleans())
@@ -446,32 +456,38 @@ class TestReferenceEquality:
         )
         stack = flat.reshape(sets, n, dim)
         k = 1 + k_draw % (n - 1)
-        want = np.stack([knn_radii(x, k).radii for x in stack])
+        want = np.stack([knn_radii(x, k) for x in stack])
         assert np.array_equal(want, np.stack([reference_radii(x, k) for x in stack]))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ganens.metrics, "_BLOCK_ENTRIES", block_entries)
-            assert np.array_equal(knn_radii(stack, k).radii, want)
-            assert np.array_equal(knn_radii(stack[0], k).radii, want[0])
+            assert np.array_equal(knn_radii(stack, k), want)
+            assert np.array_equal(knn_radii(stack[0], k), want[0])
 
     @settings(max_examples=200)
     @given(sets=ball_sets(), data=st.data(), k_draw=st.integers(0, 100),
-           block_entries=st.integers(1, 400))
-    def test_segmented_hits_equal_one_call_per_set(self, sets, data, k_draw, block_entries):
-        # One call over consecutive candidate sets gives each set's own counts
-        # and first hits, whatever blocks the balls' rows fall into.
+           block_entries=st.integers(1, 400), cap_rows=st.integers(0, 30))
+    def test_segmented_hits_equal_one_call_per_set(self, sets, data, k_draw, block_entries,
+                                                   cap_rows):
+        # One ball_tables call over several sets, each in a drawn order, gives each
+        # set's one-set tables and the reference's, whatever runs of sets a cap of
+        # cap_rows rows makes and whatever blocks the balls' rows fall into.
         x, y = sets
         k = 1 + k_draw % (x.shape[0] - 1)
         cuts = sorted(data.draw(st.sets(st.integers(1, len(y) - 1), max_size=4)))
         bounds = [0, *cuts, len(y)]
-        lengths = np.diff(bounds)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sets = [(y[lo:hi], rng.permutation(hi - lo)) for lo, hi in zip(bounds, bounds[1:])]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ganens.metrics, "_BLOCK_ENTRIES", block_entries)
-            counts, first = ball_hits(x, y, k, segments=lengths)
-        assert first.shape == (len(lengths), len(x))
-        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            own_counts, own_first = ball_hits(x, y[lo:hi], k)
-            assert np.array_equal(counts[lo:hi], own_counts)
-            assert np.array_equal(first[s], own_first)
+            patch.setattr(ganens.metrics, "_CHUNK_ENTRIES", cap_rows * (x.shape[1] + 2))
+            prefix, first = ball_tables(x, sets, k, _as_matrix)
+        assert prefix.shape == (len(sets), max(np.diff(bounds)) + 1)
+        assert first.shape == (len(sets), len(x))
+        for s, (rows, order) in enumerate(sets):
+            own = one_set_tables(x, rows, k, order)
+            assert_tables_equal((prefix[s, : len(rows) + 1], first[s]), own)
+            assert_tables_equal(own, reference_tables(x, rows, k, order))
+            assert density_coverage(x, rows, k) == reference_density_coverage(x, rows, k)
 
     @pytest.mark.parametrize("axis", ["column", "row", "both"])
     def test_closed_ball_recomputes_nan_and_band_edges(self, axis, monkeypatch):
@@ -532,7 +548,7 @@ class TestReferenceEquality:
         # and radii. Here every estimate errs by that bound (rounded to float32
         # toward sigma^2 s): toward the wrong side of its ball for the ball
         # tests, in drawn directions for the radii. The slacks are the ones the
-        # kernel builds for ball_hits and knn_radii.
+        # kernel builds for ball_tables and knn_radii.
         x, y = sets
         rng = np.random.default_rng(seed)
 
@@ -586,7 +602,7 @@ class TestReferenceEquality:
 
         def at_bound(x, y, x_rows, y_rows, scale, *args):
             assert max(x_rows[0][:, dim].max(), y_rows[0][:, dim + 1].max()) < 2.0**100
-            inside = pairwise_distances(x, y) <= args[-1]
+            inside = pairwise_distances(x, y) <= args[-1][0]  # y's thresholds' radii
             planted.append(estimates_at_bound(x, y, centre, scale, np.where(inside, 1.0, -1.0)))
             try:
                 return kernel(x, y, x_rows, y_rows, scale, *args)
@@ -615,10 +631,7 @@ class TestReferenceEquality:
         # reference decides them, alone and in a pool, whose float32 rows move
         # them by at most another half ulp per coordinate.
         x, y, k = plants
-        inside = pairwise_distances(x, y) <= reference_radii(x, k)[:, None]
-        counts, first = ball_hits(x, y, k)
-        assert np.array_equal(counts, inside.sum(axis=0))
-        assert np.array_equal(first, np.where(inside.any(axis=1), inside.argmax(axis=1), len(y)))
+        assert_tables_equal(one_set_tables(x, y, k), reference_tables(x, y, k))
         assert density_coverage(x, y, k) == reference_density_coverage(x, y, k)
         pool = make_pool({"a": x, "b": np.vstack([y, x])}, x)
         matrix = pairwise_matrix(pool, MetricConfig(k=k), sample_per_generator=len(x) + len(y))
@@ -631,10 +644,10 @@ class TestReferenceEquality:
         # is tied for most k, and the narrowed recompute must count past ties.
         k = 1 + k_draw % (len(rows) - 1)
         want = reference_radii(rows, k)
-        assert np.array_equal(knn_radii(rows, k).radii, want)
+        assert np.array_equal(knn_radii(rows, k), want)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ganens.metrics, "_BLOCK_ENTRIES", block_entries)
-            assert np.array_equal(knn_radii(np.stack([rows, rows[::-1]]), k).radii,
+            assert np.array_equal(knn_radii(np.stack([rows, rows[::-1]]), k),
                                   np.stack([want, want[::-1]]))
         half = rows[::2]
         assert density_coverage(rows, half, k) == reference_density_coverage(rows, half, k)
@@ -653,14 +666,14 @@ class TestReferenceEquality:
         size = min(len(x), len(y))
         pool = make_pool({"a": x[:size], "b": y[:size], "c": np.vstack([x, y])[-size:]}, x)
         pool_k = 1 + k_draw % (size - 1)
-        want = [ball_hits(x, y[lo:hi], k) for lo, hi in zip(bounds, bounds[1:])]
+        sets = [(y[lo:hi], np.arange(hi - lo)) for lo, hi in zip(bounds, bounds[1:])]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ganens.metrics, "_BLOCK_ENTRIES", block_entries)
-            counts, first = ball_hits(x, y, k, segments=np.diff(bounds))
+            prefix, first = ball_tables(x, sets, k, _as_matrix)
             matrix = pairwise_matrix(pool, MetricConfig(k=pool_k, standardize=standardize))
-        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            assert np.array_equal(counts[lo:hi], want[s][0])
-            assert np.array_equal(first[s], want[s][1])
+        for s, (rows, _) in enumerate(sets):
+            want = reference_tables(x, rows, k)
+            assert_tables_equal((prefix[s, : len(rows) + 1], first[s]), want)
         assert_entries_equal_reference(matrix, pool, pool_k, standardize)
 
     def test_listed_slices_bound_the_temporaries(self):
@@ -695,10 +708,8 @@ class TestReferenceEquality:
             tracemalloc.stop()
         assert peak < 12 * 2**20
         assert_entries_equal_reference(matrix, pool, 5, False)
-        inside = pairwise_distances(base, base) <= reference_radii(base, 5)[:, None]
-        counts, first = ball_hits(base, base.copy(), 5)
-        assert np.array_equal(counts, inside.sum(axis=0))
-        assert np.array_equal(first, inside.argmax(axis=1))
+        assert_tables_equal(one_set_tables(base, base.copy(), 5),
+                            reference_tables(base, base.copy(), 5))
 
     def test_band_recompute_sums_in_reference_order(self):
         # Magnitudes spread over 16 decades make the rounded sum depend on

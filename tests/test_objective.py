@@ -560,7 +560,7 @@ class TestArrayEvaluation:
     )
     def test_objectives_and_warnings_equal_reference(self, case, kind, standardize, seed, cap_rows):
         # A chunk cap of cap_rows rows splits the set-up's generators over several
-        # ball_hits calls, and a cap below a generator's size gives it one alone.
+        # ball_tables runs, and a cap below a generator's size gives it one alone.
         pool, k, genomes, total = case
         cfg = MetricConfig(kind=kind, k=k, standardize=standardize)
         with pytest.MonkeyPatch.context() as patch:

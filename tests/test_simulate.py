@@ -96,7 +96,7 @@ class TestSampleGenerator:
         )
         real = sample_real(modes, 600, seed=3)
         synth = sample_generator(profile, modes, seed=9)
-        radii = knn_radii(real, 5).radii
+        radii = knn_radii(real, 5)
         assert pairwise_distances(real.data, synth.data).min() > radii.max()
         assert density_coverage(real, synth, 5)[1] == 0.0
 
